@@ -55,6 +55,15 @@ def check_birkhoff(x, k_max, l_max=None, tol=TIE_TOL):
     solution must be restricted away from its frozen collar first, since
     collar-adjacent values are biased at second order in the coupling
     and a translate can pair them against unbiased bulk values.
+
+    For each k only the l in [ceil(-max - tol), floor(-min + tol)] are
+    scanned, where max and min are the extremes of x_{i+k} - x_i over
+    the overlap, widened by one on each side against rounding in ceil
+    and floor. Every l below that range puts the translate strictly
+    below x and every l above it strictly above, so none of them can
+    cross, tie or be degenerate; the scanned l still rise within each k,
+    so the verdict, the witness and the order of ``ties`` and
+    ``degenerate`` are those of the full scan over [-l_max, l_max].
     """
     d = x.domain.d
     if l_max is None:
@@ -74,7 +83,9 @@ def check_birkhoff(x, k_max, l_max=None, tol=TIE_TOL):
         hi_at = int(np.argmax(flat))
         lo_at = int(np.argmin(flat))
         mx, mn = float(flat[hi_at]), float(flat[lo_at])
-        for l in range(-l_max, l_max + 1):
+        l_lo = max(-l_max, int(np.ceil(-mx - tol)) - 1)
+        l_hi = min(l_max, int(np.floor(-mn + tol)) + 1)
+        for l in range(l_lo, l_hi + 1):
             if l == 0 and not np.any(k):
                 continue
             above = mx + l > tol

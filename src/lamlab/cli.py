@@ -105,6 +105,12 @@ def _validate_keys(spec, command):
 
 
 def _model_from_spec(spec, omega=None):
+    """Build the model of ``spec.model`` once.
+
+    ``omega`` is the raw spec entry, or None; it is parsed against the
+    stencil dimension and sets the oscillation bound K unless the model
+    gives one. Returns the model and the parsed omega.
+    """
     mspec = spec.get("model")
     if not isinstance(mspec, dict):
         raise SchemaError("spec.model must be an object")
@@ -133,6 +139,8 @@ def _model_from_spec(spec, omega=None):
     d = sspec.get("d", 1)
     if not isinstance(d, int) or d < 1:
         raise SchemaError("stencil dimension d must be a positive integer")
+    if omega is not None:
+        omega = _parse_omega(omega, d)
     stencil = builtin_harmonic_stencil(d)
     if sspec.get("flip_sign", False):
         base = stencil
@@ -152,7 +160,7 @@ def _model_from_spec(spec, omega=None):
             K = osc_bound(omega, stencil.range)
     k = mspec.get("k", 0.5)
     constants = estimate_constants(potential, stencil, float(K), k=float(k))
-    return Model(potential, stencil, constants)
+    return Model(potential, stencil, constants), omega
 
 
 def _parse_omega(raw, d):
@@ -214,17 +222,12 @@ def _parse_simplex(spec, model):
     return [float(v) for v in p]
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def _write_json(path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
+    lines = [",".join(header), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -245,26 +248,32 @@ def _manifest(out, command, effective, model, seed, threads, tol):
     _write_json(out / "manifest.json", body)
 
 
+def _reprs(values):
+    """``repr`` of every entry of a float array, in row-major order."""
+    return list(map(repr, values.ravel().tolist()))
+
+
 def _solution_rows(model, eps, window, labels, result):
-    d = window.d
+    """Site, label, solution and residual columns of a continue result.
+
+    The residual covers the interior sub-box only; its rows are placed
+    by their row-major positions in the padded box, and collar rows
+    keep an empty residual.
+    """
     Bp = result.solution.domain
     resid = residual_field(model, eps, result.solution, window)
     interior = window.interior(model.stencil.range)
-    resmap = {tuple(site): _fmt(v) for site, v in
-              zip(interior.sites(), resid.ravel())}
-    rows = []
-    for site, x0, x in zip(Bp.sites(), labels.values.ravel(),
-                           result.solution.values.ravel()):
-        key = tuple(site.tolist())
-        rows.append([str(c) for c in key] + [_fmt(x0), _fmt(x),
-                                             resmap.get(key, "")])
-    return rows
+    residuals = [""] * Bp.size
+    at = np.arange(Bp.size).reshape(Bp.shape)[interior.slice_in(Bp)]
+    for i, v in zip(at.ravel().tolist(), _reprs(resid)):
+        residuals[i] = v
+    sites = [list(map(str, col)) for col in Bp.sites().T.tolist()]
+    return zip(*sites, _reprs(labels.values), _reprs(result.solution.values),
+               residuals)
 
 
 def cmd_continue(spec, out, seed, threads, tol):
-    model = _model_from_spec(spec, omega=None)
-    omega = _parse_omega(spec["omega"], model.stencil.d)
-    model = _model_from_spec(spec, omega=omega)
+    model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model)
     p = _parse_simplex(spec, model)
@@ -314,9 +323,7 @@ def cmd_continue(spec, out, seed, threads, tol):
 
 
 def cmd_lamination(spec, out, seed, threads, tol):
-    model = _model_from_spec(spec, omega=None)
-    omega = _parse_omega(spec["omega"], model.stencil.d)
-    model = _model_from_spec(spec, omega=omega)
+    model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model)
     p = _parse_simplex(spec, model)
@@ -365,9 +372,7 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
-    model = _model_from_spec(spec, omega=None)
-    omega = _parse_omega(spec["omega"], model.stencil.d)
-    model = _model_from_spec(spec, omega=omega)
+    model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     d = model.stencil.d
     n = spec.get("n", DEFAULT_DENSITY_RADIUS.get(d))
@@ -387,8 +392,7 @@ def cmd_measure(spec, out, seed, threads, tol):
     sig_n = model.potential.minima.size
     _write_csv(out / "density.csv",
                ["n"] + [f"p{j + 1}" for j in range(sig_n)],
-               [[str(rad)] + [_fmt(v) for v in fr]
-                for rad, fr in mu.density_table])
+               [[str(rad)] + _reprs(fr) for rad, fr in mu.density_table])
     summary = {"atoms": mu.as_pairs(),
                "table": [[rad, [float(v) for v in fr]]
                          for rad, fr in mu.density_table]}
@@ -410,9 +414,13 @@ def cmd_measure(spec, out, seed, threads, tol):
         for a in range(len(grid)):
             for b in range(a + 1, len(grid)):
                 dist = vague_distance(measures[a], measures[b])
-                l1 = float(np.sum(np.abs(np.asarray(grid[a]) - np.asarray(grid[b]))))
+                # left to right like np.sum on so few terms; sum() would
+                # compensate the rounding from Python 3.12 on
+                l1 = 0.0
+                for u, v in zip(grid[a], grid[b]):
+                    l1 += abs(u - v)
                 min_margin = min(min_margin, dist - l1)
-                pair_rows.append([str(a), str(b), _fmt(l1), _fmt(dist)])
+                pair_rows.append([str(a), str(b), repr(l1), repr(float(dist))])
         _write_csv(out / "injectivity.csv",
                    ["a", "b", "l1", "vague_distance"], pair_rows)
         summary["injectivity"] = {
@@ -425,16 +433,15 @@ def cmd_measure(spec, out, seed, threads, tol):
 
 
 def cmd_cantorus(spec, out, seed, threads, tol):
-    model = _model_from_spec(spec, omega=None)
     mode = spec.get("mode", "cantorus")
     if mode == "momentum":
+        model, _ = _model_from_spec(spec)
         return _cmd_momentum(spec, out, model, seed, threads, tol)
     if mode != "cantorus":
         raise SchemaError(f"unknown cantorus mode {mode!r}")
     if "omega" not in spec:
         raise SchemaError("cantorus mode needs omega")
-    omega = _parse_omega(spec["omega"], model.stencil.d)
-    model = _model_from_spec(spec, omega=omega)
+    model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model, default=16)
     n_samples = spec.get("n_samples", 64)
@@ -460,8 +467,8 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     res = extract_cantorus(model, eps, hull, omega, window, n_samples,
                            s0=s0, newton_tol=tol)
     _write_csv(out / "cantorus.csv", ["s", "x0", "y0"],
-               [[_fmt(s), _fmt(x), _fmt(y)]
-                for s, (x, y) in zip(res.s_values, res.points)])
+               zip(_reprs(res.s_values), _reprs(res.points[:, 0]),
+                   _reprs(res.points[:, 1])))
     _write_json(out / "summary.json", {
         "eps": eps,
         "n_samples": int(n_samples),
@@ -496,8 +503,8 @@ def _cmd_momentum(spec, out, model, seed, threads, tol):
     orbit = chaotic_momentum_orbit(model.potential, eps, labels, window,
                                    newton_tol=tol)
     _write_csv(out / "orbit.csv", ["i", "x", "y"],
-               [[str(i), _fmt(x), _fmt(y)]
-                for i, (x, y) in enumerate(orbit.points)])
+               zip(map(str, range(orbit.points.shape[0])),
+                   _reprs(orbit.points[:, 0]), _reprs(orbit.points[:, 1])))
     _write_json(out / "summary.json", {
         "eps": eps,
         "points": int(orbit.points.shape[0]),
@@ -514,7 +521,7 @@ def cmd_verify(spec, out, seed, threads, tol):
         if not isinstance(overrides, dict):
             raise SchemaError("checks must map check names to tolerances")
         if "model" in spec:
-            model = _model_from_spec(spec)
+            model, _ = _model_from_spec(spec)
     rows = run_suite(model, seed=seed, overrides=overrides)
     width = max(len(r.name) for r in rows)
     for r in rows:
@@ -529,9 +536,7 @@ def cmd_verify(spec, out, seed, threads, tol):
 
 
 def cmd_sweep(spec, out, seed, threads, tol):
-    model = _model_from_spec(spec, omega=None)
-    omega = _parse_omega(spec["omega"], model.stencil.d)
-    model = _model_from_spec(spec, omega=omega)
+    model, omega = _model_from_spec(spec, spec["omega"])
     eps_values = spec.get("eps_values")
     if not isinstance(eps_values, list) or not eps_values:
         raise SchemaError("eps_values must be a nonempty list")
@@ -560,8 +565,9 @@ def cmd_sweep(spec, out, seed, threads, tol):
     else:
         results = [run(eps) for eps in eps_list]
 
-    rows = [[_fmt(eps), str(r.iterations), _fmt(r.final_residual),
-             _fmt(r.contraction_rate), _fmt(r.displacement)]
+    rows = [[repr(float(eps)), str(r.iterations),
+             repr(float(r.final_residual)), repr(float(r.contraction_rate)),
+             repr(float(r.displacement))]
             for eps, r in zip(eps_list, results)]
     _write_csv(out / "sweep.csv",
                ["eps", "iterations", "residual", "rate", "displacement"], rows)

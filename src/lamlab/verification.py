@@ -14,12 +14,11 @@ from .birkhoff import check_comparison_principle, check_minmax_inequality, meet_
 from .continuation import (action, defect, defect_subadditivity_check,
                            quasi_newton_continue, residual_field)
 from .errors import LamlabError
-from .hull import (generic_parameter, sample_config, step_hull_from_simplex)
+from .hull import (GOLDEN_MEAN, generic_parameter, sample_config,
+                   step_hull_from_simplex)
 from .lattice import Box, Configuration
 from .measure import measure_from_hull, vague_distance
 from .model import SAMPLE_SEED, builtin_n_well
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -35,7 +34,8 @@ def _random_simplex(rng, n):
 
 
 def _sampled_labels(model, rng, window):
-    omega = np.full(window.d, GOLDEN) + rng.uniform(-0.05, 0.05, window.d)
+    omega = (np.full(window.d, GOLDEN_MEAN)
+             + rng.uniform(-0.05, 0.05, window.d))
     p = _random_simplex(rng, model.potential.minima.size)
     phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
@@ -191,7 +191,7 @@ def check_hull_axioms(model, tol=1e-9, trials=1000, seed=0):
         both = np.sort(rng.uniform(-2.0, 2.0, 2))
         if phi.value(both[0]) > phi.value(both[1]) + tol:
             return False, "monotonicity defect"
-        omega = np.asarray([GOLDEN + rng.uniform(-0.05, 0.05)])
+        omega = np.asarray([GOLDEN_MEAN + rng.uniform(-0.05, 0.05)])
         s0 = generic_parameter(phi, omega, window.padded(2), rng.uniform(0, 1))
         x = sample_config(phi, omega, s0, window.padded(2))
         k = np.asarray([int(rng.integers(-2, 3))])
@@ -235,7 +235,7 @@ def run_suite(model=None, seed=0, overrides=None):
     if model is None:
         from .model import build_model, builtin_harmonic_stencil
         model = build_model(builtin_n_well(2), builtin_harmonic_stencil(1),
-                            omega=[GOLDEN])
+                            omega=[GOLDEN_MEAN])
     overrides = overrides or {}
     rows = []
     for name, fn in CHECKS:

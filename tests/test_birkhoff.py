@@ -7,6 +7,7 @@ from lamlab import (Box, CheckInconclusive, Configuration, GOLDEN_MEAN,
                     check_minmax_inequality, meet_join, quasi_newton_continue,
                     rotation_vector, sample_config, step_hull_from_simplex,
                     translate)
+from lamlab.birkhoff import TIE_TOL, OrderVerdict
 
 
 def staircase(window, omega, s=0.37):
@@ -43,6 +44,107 @@ def test_check_birkhoff_flags_a_swapped_pair():
     assert not verdict.ordered
     k, l, i, j = verdict.violation
     assert np.max(np.abs(k)) <= 4 and isinstance(l, int)
+
+
+def full_scan(x, k_max, l_max=None, tol=TIE_TOL):
+    # reference: every l in [-l_max, l_max] for every k, no range cut
+    d = x.domain.d
+    if l_max is None:
+        spread = float(np.max(x.values) - np.min(x.values))
+        l_max = int(np.ceil(spread)) + 1
+    verdict = OrderVerdict(True, None, [], [], int(k_max), int(l_max))
+    for k in Box.centered(int(k_max), d).sites():
+        ovl = x.domain.intersect(x.domain.shift(-k))
+        if ovl is None:
+            continue
+        flat = (x.values[ovl.shift(k).slice_in(x.domain)]
+                - x.values[ovl.slice_in(x.domain)]).ravel()
+        hi_at, lo_at = int(np.argmax(flat)), int(np.argmin(flat))
+        mx, mn = float(flat[hi_at]), float(flat[lo_at])
+        for l in range(-l_max, l_max + 1):
+            if l == 0 and not np.any(k):
+                continue
+            above = mx + l > tol
+            below = mn + l < -tol
+            if above and below:
+                sites = ovl.sites()
+                witness = (tuple(k.tolist()), l, tuple(sites[hi_at].tolist()),
+                           tuple(sites[lo_at].tolist()))
+                return OrderVerdict(False, witness, verdict.ties,
+                                    verdict.degenerate, int(k_max), int(l_max))
+            if not above and not below:
+                verdict.degenerate.append((tuple(k.tolist()), l))
+            elif mx + l >= -tol and mn + l <= tol:
+                verdict.ties.append((tuple(k.tolist()), l))
+    return verdict
+
+
+def assert_same_as_full_scan(x, k_max, l_max=None, tol=TIE_TOL):
+    got = check_birkhoff(x, k_max, l_max, tol)
+    assert got == full_scan(x, k_max, l_max, tol)
+    return got
+
+
+def test_short_scan_matches_full_scan_on_a_crossing():
+    window = Box.centered(12, 1)
+    vals = staircase(window, [GOLDEN_MEAN]).values.copy()
+    vals[3], vals[19] = vals[19], vals[3]
+    got = assert_same_as_full_scan(Configuration(window, vals), 4)
+    assert not got.ordered and got.violation is not None
+
+
+def test_short_scan_matches_full_scan_on_ties_and_degenerate_pairs():
+    # integer staircases touch their translates; omega = 1/2 is periodic,
+    # so k = 2, l = -1 reproduces the configuration on the overlap
+    got = assert_same_as_full_scan(staircase(Box.centered(12, 1),
+                                             [GOLDEN_MEAN]), 4)
+    assert got.ordered and got.ties
+    got = assert_same_as_full_scan(staircase(Box.centered(12, 1), [0.5]), 4)
+    assert got.ordered and ((2,), -1) in got.degenerate and got.ties
+
+
+def test_short_scan_matches_full_scan_with_a_small_l_max():
+    x = staircase(Box.centered(30, 1), [GOLDEN_MEAN])
+    for l_max in (0, 1, 2):
+        got = assert_same_as_full_scan(x, 6, l_max=l_max)
+        assert got.l_max == l_max
+    vals = x.values.copy()
+    vals[5], vals[50] = vals[50], vals[5]
+    assert_same_as_full_scan(Configuration(x.domain, vals), 6, l_max=1)
+
+
+def test_short_scan_skips_the_identity_translate():
+    x = staircase(Box.centered(8, 1), [GOLDEN_MEAN])
+    got = assert_same_as_full_scan(x, 0)
+    assert got.ordered and got.degenerate == [] and got.ties == []
+    got = assert_same_as_full_scan(x, 2)
+    assert ((0,), 0) not in got.degenerate + got.ties
+
+
+def test_short_scan_matches_full_scan_in_two_dimensions():
+    omega = [np.sqrt(2) - 1, np.sqrt(3) - 1]
+    x = staircase(Box.centered(6, 2), omega)
+    assert assert_same_as_full_scan(x, 3).ordered
+    vals = x.values.copy()
+    vals[1, 2], vals[10, 11] = vals[10, 11], vals[1, 2]
+    got = assert_same_as_full_scan(Configuration(x.domain, vals), 3)
+    assert not got.ordered
+
+
+def test_short_scan_matches_full_scan_at_the_tie_tolerance():
+    # differences land on +-tol and one ulp either side, plus integers
+    tol = TIE_TOL
+    near = [tol, -tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
+            -np.nextafter(tol, 0.0), -np.nextafter(tol, 1.0)]
+    for lift in (0.0, 1.0, -2.0, 3.0):
+        for v in near:
+            x = Configuration(Box([0], [2]), [0.0, lift + v, 0.0])
+            assert_same_as_full_scan(x, 2)
+            assert_same_as_full_scan(x, 2, l_max=4)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        vals = rng.integers(-3, 4, 7) + rng.choice(near + [0.0], 7)
+        assert_same_as_full_scan(Configuration(Box([0], [6]), vals), 3)
 
 
 def test_sign_rule_for_exact_samples():

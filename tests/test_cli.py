@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from lamlab.cli import main
+from lamlab import (GOLDEN_MEAN, Box, generic_parameter,
+                    quasi_newton_continue, residual_field, sample_config,
+                    step_hull_from_simplex)
+from lamlab.cli import _solution_rows, main
 
 BASE = {
     "model": {},
@@ -216,3 +219,40 @@ def test_sweep_cli(tmp_path):
     # displacement grows with the coupling
     disp = [float(l.split(",")[4]) for l in lines[1:]]
     assert disp[0] < disp[1] < disp[2]
+
+
+def dict_keyed_rows(model, eps, window, labels, result):
+    # reference: residuals looked up by site tuple, one row at a time
+    Bp = result.solution.domain
+    resid = residual_field(model, eps, result.solution, window)
+    interior = window.interior(model.stencil.range)
+    resmap = {tuple(site): repr(float(v)) for site, v in
+              zip(interior.sites(), resid.ravel())}
+    rows = []
+    for site, x0, x in zip(Bp.sites(), labels.values.ravel(),
+                           result.solution.values.ravel()):
+        key = tuple(site.tolist())
+        rows.append([str(c) for c in key] + [repr(float(x0)), repr(float(x)),
+                                             resmap.get(key, "")])
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solution_rows_match_dict_keyed_rows(d, model1, model2):
+    model = model1 if d == 1 else model2
+    omega = ([GOLDEN_MEAN] if d == 1
+             else [np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
+    window = Box.centered(7 if d == 1 else 4, d)
+    Bp = window.padded(model.stencil.range)
+    phi = step_hull_from_simplex([0.3, 0.7], model.potential.minima)
+    labels = sample_config(phi, omega, generic_parameter(phi, omega, Bp, 0.5),
+                           Bp)
+    eps = model.constants.eps1 / 2
+    result = quasi_newton_continue(model, eps, labels, window)
+    want = dict_keyed_rows(model, eps, window, labels, result)
+    got = [list(row) for row in _solution_rows(model, eps, window, labels,
+                                                result)]
+    assert got == want
+    collar = [row for row in got if row[-1] == ""]
+    assert len(collar) == Bp.size - window.interior(model.stencil.range).size
+    assert len(collar) > 0 and len(collar) < len(got)
