@@ -12,6 +12,7 @@ order-broken runs, 3 failure to converge.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -102,6 +103,17 @@ def _validate_keys(spec, command):
     missing = required - set(spec)
     if missing:
         raise SchemaError(f"missing spec keys for {command}: {sorted(missing)}")
+    nulls = sorted(k for k in required if spec[k] is None)
+    if nulls:
+        raise SchemaError(f"spec keys for {command} must not be null: {nulls}")
+
+
+def _finite(v, what):
+    """``v`` as a float; anything but a finite JSON number is refused."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and math.isfinite(v):
+        return float(v)
+    raise SchemaError(f"{what} must be a finite number")
 
 
 def _model_from_spec(spec, omega=None):
@@ -129,7 +141,8 @@ def _model_from_spec(spec, omega=None):
         samples = pspec.get("samples")
         if not isinstance(samples, list) or len(samples) < 8:
             raise SchemaError("table potential needs at least 8 samples")
-        potential = potential_from_table(np.asarray(samples, dtype=float))
+        samples = [_finite(v, "every table sample") for v in samples]
+        potential = potential_from_table(np.asarray(samples))
     else:
         raise SchemaError(f"unknown potential kind {pspec['kind']!r}")
 
@@ -158,8 +171,9 @@ def _model_from_spec(spec, omega=None):
             K = osc_bound([GOLDEN_MEAN] * d, stencil.range)
         else:
             K = osc_bound(omega, stencil.range)
-    k = mspec.get("k", 0.5)
-    constants = estimate_constants(potential, stencil, float(K), k=float(k))
+    k = _finite(mspec.get("k", 0.5), "model.k")
+    constants = estimate_constants(potential, stencil, _finite(K, "model.K"),
+                                   k=k)
     return Model(potential, stencil, constants), omega
 
 
@@ -170,7 +184,7 @@ def _parse_omega(raw, d):
                 raise SchemaError(f"unknown omega name {v!r}")
             return OMEGA_NAMES[v]
         if isinstance(v, (int, float)):
-            return float(v)
+            return _finite(v, "every omega entry")
         raise SchemaError("omega entries must be numbers or known names")
 
     if isinstance(raw, list):
@@ -184,7 +198,7 @@ def _parse_omega(raw, d):
 
 def _parse_eps(raw, constants):
     if isinstance(raw, (int, float)):
-        val = float(raw)
+        val = _finite(raw, "eps")
     elif isinstance(raw, str):
         head, _, denom = raw.partition("/")
         if head == "eps0":
@@ -213,13 +227,23 @@ def _parse_window(spec, model, default=None):
     return Box.centered(radius, model.stencil.d)
 
 
-def _parse_simplex(spec, model):
-    p = spec.get("p")
-    n = model.potential.minima.size
+def _parse_k_max(spec):
+    k_max = spec.get("k_max", 2)
+    if not isinstance(k_max, int) or k_max < 0:
+        raise SchemaError("k_max must be a nonnegative integer")
+    return k_max
+
+
+def _parse_weights(p, n):
+    """Well weights ``p``: a list of ``n`` finite numbers, as floats."""
     if not isinstance(p, list) or len(p) != n or \
             not all(isinstance(v, (int, float)) for v in p):
         raise SchemaError(f"p must be a list of {n} numbers (one weight per well)")
-    return [float(v) for v in p]
+    return [_finite(v, "every entry of p") for v in p]
+
+
+def _parse_simplex(spec, model):
+    return _parse_weights(spec.get("p"), model.potential.minima.size)
 
 
 def _write_json(path, obj):
@@ -283,8 +307,8 @@ def cmd_continue(spec, out, seed, threads, tol):
     if s is None:
         s = generic_parameter(phi, omega, Bp, 0.5)
     else:
-        s = float(s)
-    k_max = spec.get("k_max", 2)
+        s = _finite(s, "s")
+    k_max = _parse_k_max(spec)
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p, "s": s,
         "window_radius": int(window.hi[0]), "k_max": k_max,
@@ -330,7 +354,7 @@ def cmd_lamination(spec, out, seed, threads, tol):
     n_samples = spec.get("n_samples")
     if not isinstance(n_samples, int) or n_samples < 1:
         raise SchemaError("n_samples must be a positive integer")
-    k_max = spec.get("k_max", 2)
+    k_max = _parse_k_max(spec)
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p,
         "window_radius": int(window.hi[0]), "n_samples": n_samples,
@@ -381,6 +405,11 @@ def cmd_measure(spec, out, seed, threads, tol):
     window = _parse_window(spec, model, default=n)
     p = _parse_simplex(spec, model)
     inj = spec.get("injectivity")
+    if inj:
+        spacing = (_finite(inj.get("spacing", 0.25), "injectivity spacing")
+                   if isinstance(inj, dict) else 0.25)
+        if not 0.0 < spacing <= 1.0:
+            raise SchemaError("injectivity spacing must lie in (0, 1]")
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p, "n": n,
         "window_radius": int(window.hi[0]), "injectivity": inj,
@@ -398,7 +427,6 @@ def cmd_measure(spec, out, seed, threads, tol):
                          for rad, fr in mu.density_table]}
 
     if inj:
-        spacing = float(inj.get("spacing", 0.25)) if isinstance(inj, dict) else 0.25
         steps = int(round(1.0 / spacing))
         grid = []
         for combo in np.ndindex(*([steps + 1] * (sig_n - 1))):
@@ -439,12 +467,14 @@ def cmd_cantorus(spec, out, seed, threads, tol):
         return _cmd_momentum(spec, out, model, seed, threads, tol)
     if mode != "cantorus":
         raise SchemaError(f"unknown cantorus mode {mode!r}")
-    if "omega" not in spec:
+    if spec.get("omega") is None:
         raise SchemaError("cantorus mode needs omega")
     model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model, default=16)
     n_samples = spec.get("n_samples", 64)
+    if not isinstance(n_samples, int) or n_samples < 2:
+        raise SchemaError("n_samples must be an integer of at least 2")
     wells = spec.get("wells", "minima")
     if wells == "minima":
         sigma = model.potential.minima
@@ -452,10 +482,11 @@ def cmd_cantorus(spec, out, seed, threads, tol):
         sigma = model.potential.criticals
     else:
         raise SchemaError("wells must be 'minima' or 'criticals'")
+    # the manifest echoes p and s0 as given; the hull reads them as floats
     p = spec.get("p", [1.0 / sigma.size] * sigma.size)
-    if len(p) != sigma.size:
-        raise SchemaError(f"p must have {sigma.size} entries for wells={wells!r}")
+    _parse_weights(p, sigma.size)
     s0 = spec.get("s0", 0.5)
+    _finite(s0, "s0")
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p,
         "wells": wells, "window_radius": int(window.hi[0]),
@@ -490,7 +521,12 @@ def _cmd_momentum(spec, out, model, seed, threads, tol):
         labels = np.asarray(labels, dtype=float)
     elif "coin_flip" in spec:
         cf = spec["coin_flip"]
-        rng = np.random.default_rng(int(cf.get("seed", seed)))
+        if not isinstance(cf, dict):
+            raise SchemaError("coin_flip must be an object")
+        cf_seed = cf.get("seed", seed)
+        if not isinstance(cf_seed, int) or cf_seed < 0:
+            raise SchemaError("coin_flip seed must be a nonnegative integer")
+        rng = np.random.default_rng(cf_seed)
         labels = rng.integers(0, 2, Bp.size).astype(float)
     else:
         raise SchemaError("momentum mode needs labels or coin_flip")
@@ -608,6 +644,8 @@ def main(argv=None):
             threads = int(os.environ.get("LAMLAB_THREADS", "1"))
         if threads < 1:
             raise SchemaError("threads must be at least 1")
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise SchemaError("tol must be a positive finite number")
         spec = None
         if args.spec is not None:
             spec = _load_spec(args.spec)
@@ -616,7 +654,9 @@ def main(argv=None):
             spec = _load_spec(None)
         seed = args.seed
         if seed is None:
-            seed = int(spec.get("seed", 0)) if spec else 0
+            seed = spec.get("seed", 0) if spec else 0
+            if not isinstance(seed, int):
+                raise SchemaError("seed must be an integer")
         out = None
         if args.out is not None:
             out = Path(args.out)
@@ -627,7 +667,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ModelInvalid, ValueError) as exc:
+    except (ModelInvalid, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ContinuationRefused, ContractionEscape, LaminationBroken,

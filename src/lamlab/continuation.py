@@ -114,7 +114,7 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
     while True:
         resid = (model.potential.d1(X[sl])
                  + eps * model.stencil.force(X, Bp, interior))
-        sup = float(np.max(np.abs(resid)))
+        sup = float(np.abs(resid).max())
         if sup <= tol:
             break
         if it >= max_iter:
@@ -124,11 +124,11 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
         step = resid / diag
         X[sl] -= step
         it += 1
-        snorm = float(np.max(np.abs(step)))
+        snorm = float(np.abs(step).max())
         if prev is not None and prev > 1e-13:
             rate = max(rate, snorm / prev)
         prev = snorm
-        disp = float(np.max(np.abs(X[sl] - anchor)))
+        disp = float(np.abs(X[sl] - anchor).max())
         if disp >= cst.delta0:
             raise ContractionEscape(
                 f"iterate left the trust ball: displacement {disp:.3e} "
@@ -236,7 +236,7 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
     while True:
         resid = (model.potential.d1(X[sl])
                  + eps * model.stencil.force(X, Bp, interior))
-        sup = float(np.max(np.abs(resid)))
+        sup = float(np.abs(resid).max())
         if sup <= tol:
             break
         if it >= max_iter:
@@ -245,7 +245,7 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
             )
         X[sl] -= resid / diag
         it += 1
-        off = float(np.max(np.abs(X[sl] - anchor)))
+        off = float(np.abs(X[sl] - anchor).max())
         if off >= cst.delta0:
             raise ContractionEscape(
                 f"relaxation left the trust ball: offset {off:.3e} "

@@ -227,7 +227,11 @@ class InteractionStencil:
 
     ``force_field`` and ``energy_sum_field``, when provided, are
     vectorized fast paths used by the continuation code; the generic
-    site-loop implementations below are the reference semantics.
+    site-loop implementations below are the reference semantics. The
+    built-in harmonic fast paths take the slices of the target box in
+    its domain once and reach the nearest neighbours along each axis by
+    moving those slices one step either way, so no shifted ``Box`` is
+    built per call.
     """
 
     def __init__(self, d, range_, energy, gradient, hessian,
@@ -345,6 +349,21 @@ class InteractionStencil:
         return R
 
 
+def _neighbour_slices(sl, a, domain):
+    """The slices ``sl`` moved by +1 and by -1 along axis ``a``.
+
+    ``sl`` selects a box inside ``domain``; both moved boxes must stay
+    inside it too, as for ``Box.shift(...).slice_in(domain)``.
+    """
+    s = sl[a]
+    if s.start < 1 or s.stop >= domain.hi[a] - domain.lo[a] + 1:
+        raise ValueError(
+            f"the neighbours along axis {a} leave the domain {domain}")
+    head, tail = sl[:a], sl[a + 1:]
+    return (head + (slice(s.start + 1, s.stop + 1),) + tail,
+            head + (slice(s.start - 1, s.stop - 1),) + tail)
+
+
 def builtin_harmonic_stencil(d):
     """Nearest-neighbor quadratic coupling; the summed force is minus the
     discrete Laplacian.
@@ -380,23 +399,22 @@ def builtin_harmonic_stencil(d):
         return hess
 
     def force_field(values, domain, out):
-        base = values[out.slice_in(domain)]
-        R = 2.0 * d * base
+        sl = out.slice_in(domain)
+        R = 2.0 * d * values[sl]
         for a in range(d):
-            e = np.zeros(d, dtype=int)
-            e[a] = 1
-            R -= values[out.shift(e).slice_in(domain)]
-            R -= values[out.shift(-e).slice_in(domain)]
+            right, left = _neighbour_slices(sl, a, domain)
+            R -= values[right]
+            R -= values[left]
         return R
 
     def energy_sum_field(values, domain, box):
-        base = values[box.slice_in(domain)]
+        sl = box.slice_in(domain)
+        base = values[sl]
         total = 0.0
         for a in range(d):
-            e = np.zeros(d, dtype=int)
-            e[a] = 1
-            total += np.sum((values[box.shift(e).slice_in(domain)] - base) ** 2)
-            total += np.sum((values[box.shift(-e).slice_in(domain)] - base) ** 2)
+            right, left = _neighbour_slices(sl, a, domain)
+            total += np.sum((values[right] - base) ** 2)
+            total += np.sum((values[left] - base) ** 2)
         return 0.25 * float(total)
 
     return InteractionStencil(

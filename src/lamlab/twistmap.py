@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuation import quasi_newton_continue
 from .errors import CheckInconclusive, ContinuationRefused
-from .hull import GENERICITY_OFFSET, check_irrational, sample_config
+from .hull import GENERICITY_OFFSET, check_irrational
 from .lattice import Box, Configuration
 from .model import Model, builtin_harmonic_stencil, estimate_constants
 
@@ -140,14 +140,18 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     else:
         raise ValueError("no generic base parameter found")
 
+    # member k's labels are phi(s_k + w*i), as sample_config would give
+    # them; the site arguments w*i are computed once for all members
+    args = Bp.sites() @ np.asarray([w])
+    at0 = -Bp.lo[0]
     x0s = np.empty(n_samples + 1)
     xm1s = np.empty(n_samples + 1)
     s_values = s + w * np.arange(n_samples + 1)
     for k in range(n_samples + 1):
-        sample = sample_config(label_hull, [w], s_values[k], Bp)
-        res = quasi_newton_continue(model, eps, sample, window, tol=newton_tol)
-        x0s[k] = res.solution.value_at((0,))
-        xm1s[k] = res.solution.value_at((-1,))
+        labels = Configuration(Bp, label_hull.value(s_values[k] + args))
+        res = quasi_newton_continue(model, eps, labels, window, tol=newton_tol)
+        x0s[k] = res.solution.values[at0]
+        xm1s[k] = res.solution.values[at0 - 1]
 
     ys = x0s - xm1s
     nx, ny = standard_map_step(model.potential, eps, x0s[:-1], ys[:-1])

@@ -180,6 +180,100 @@ def test_cantorus_cli(tmp_path):
     assert len((out / "cantorus.csv").read_text().splitlines()) == 9
 
 
+CANTORUS = {
+    "model": {"potential": {"kind": "n_well", "N": 1}},
+    "omega": "golden",
+    "eps": "eps1/2",
+    "window_radius": 8,
+    "n_samples": 8,
+}
+
+
+def exits_with_one_line(capsys, argv, code):
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("change", [
+    {"p": 1.0},
+    {"p": [0.5, 0.5]},
+    {"p": ["1"]},
+    {"p": [float("nan")]},
+    {"s0": [1]},
+    {"s0": float("inf")},
+    {"s0": True},
+    {"n_samples": 8.5},
+    {"n_samples": [8]},
+    {"omega": None},
+])
+def test_cantorus_input_types_exit_1(tmp_path, capsys, change):
+    spec = write_spec(tmp_path, "c.json", dict(CANTORUS, **change))
+    exits_with_one_line(
+        capsys, ["cantorus", "--spec", spec, "--out", str(tmp_path / "o")], 1)
+
+
+@pytest.mark.parametrize("command,change", [
+    ("continue", {"p": [float("nan"), 1.0]}),
+    ("continue", {"p": [0.3, float("inf")]}),
+    ("continue", {"omega": float("nan")}),
+    ("continue", {"omega": [float("-inf")]}),
+    ("continue", {"eps": float("nan")}),
+    ("continue", {"eps": float("inf")}),
+    ("continue", {"s": float("nan")}),
+    ("continue", {"omega": None}),
+    ("continue", {"model": {"K": float("nan")}}),
+    ("continue", {"model": {"k": [0.5]}}),
+    ("continue", {"model": {"potential": {
+        "kind": "table", "samples": [float("nan")] * 8}}}),
+    ("continue", {"seed": 1.5}),
+    ("continue", {"k_max": [2]}),
+    ("lamination", {"n_samples": 2, "eps": float("nan")}),
+    ("lamination", {"n_samples": 2, "k_max": 1.5}),
+    ("sweep", {"eps_values": [float("nan")]}),
+    ("measure", {"n": 4, "injectivity": {"spacing": 0}}),
+    ("measure", {"n": 4, "injectivity": {"spacing": float("nan")}}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": 5}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4,
+                  "coin_flip": {"seed": None}}),
+])
+def test_non_finite_and_mistyped_numbers_exit_1(tmp_path, capsys, command,
+                                                change):
+    body = dict(BASE, **change)
+    if command == "sweep":
+        del body["eps"]
+    spec = write_spec(tmp_path, "s.json", body)
+    exits_with_one_line(
+        capsys, [command, "--spec", spec, "--out", str(tmp_path / "o")], 1)
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_bad_tolerances_exit_1(tmp_path, capsys, tol):
+    spec = write_spec(tmp_path, "s.json", BASE)
+    exits_with_one_line(capsys, ["continue", "--spec", spec, "--out",
+                                 str(tmp_path / "o"), "--tol", tol], 1)
+
+
+@pytest.mark.parametrize("key", ["window_radius", "eps", "s"])
+def test_huge_integers_exit_1(tmp_path, capsys, key):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(dict(BASE, **{key: 8})).replace(
+        f'"{key}": 8', f'"{key}": 1' + "0" * 400))
+    exits_with_one_line(
+        capsys, ["continue", "--spec", str(spec), "--out", str(tmp_path / "o")],
+        1)
+
+
+def test_cantorus_failures_keep_their_exit_codes(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    spec = write_spec(tmp_path, "c.json", CANTORUS)
+    exits_with_one_line(capsys, ["cantorus", "--spec", spec, "--out", out,
+                                 "--tol", "1e-30"], 3)
+    hot = write_spec(tmp_path, "h.json", dict(CANTORUS, eps=0.5))
+    exits_with_one_line(capsys, ["cantorus", "--spec", hot, "--out", out], 2)
+
+
 def test_measure_cli(tmp_path):
     spec = write_spec(tmp_path, "m.json", {
         "model": {},

@@ -119,6 +119,62 @@ def test_harmonic_fast_paths_match_generic_scatter():
             slow.energy_sum(vals, Bp, B), rel=1e-12)
 
 
+def shifted_box_force(d, values, domain, out):
+    # reference: one shifted Box per neighbour, sliced into the domain
+    R = 2.0 * d * values[out.slice_in(domain)]
+    for a in range(d):
+        e = np.zeros(d, dtype=int)
+        e[a] = 1
+        R -= values[out.shift(e).slice_in(domain)]
+        R -= values[out.shift(-e).slice_in(domain)]
+    return R
+
+
+def shifted_box_energy_sum(d, values, domain, box):
+    base = values[box.slice_in(domain)]
+    total = 0.0
+    for a in range(d):
+        e = np.zeros(d, dtype=int)
+        e[a] = 1
+        total += np.sum((values[box.shift(e).slice_in(domain)] - base) ** 2)
+        total += np.sum((values[box.shift(-e).slice_in(domain)] - base) ** 2)
+    return 0.25 * float(total)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_harmonic_fast_paths_equal_shifted_box_reference(d):
+    rng = np.random.default_rng(40 + d)
+    sten = builtin_harmonic_stencil(d)
+    R = 5 if d < 3 else 3
+    B = Box.centered(R, d)
+    Bp = B.padded(1)
+    # the interior of a padded box, and an off-centre box inside it whose
+    # low neighbours along axis 0 are the domain's edge sites
+    lo = [-R] + [-R + 2] * (d - 1)
+    hi = [0] + [R - 1] * (d - 1)
+    cases = [(Bp, B.interior(1), B), (Bp, Box(lo, hi), Box(lo, hi))]
+    for domain, out, box in cases:
+        vals = rng.uniform(-3.0, 3.0, domain.shape) + 1e3 * rng.integers(
+            -2, 3, domain.shape)
+        got = sten.force(vals, domain, out)
+        want = shifted_box_force(d, vals, domain, out)
+        assert got.shape == out.shape
+        assert np.array_equal(got, want)
+        assert sten.energy_sum(vals, domain, box) == \
+            shifted_box_energy_sum(d, vals, domain, box)
+
+
+def test_harmonic_fast_paths_refuse_neighbours_outside_domain():
+    sten = builtin_harmonic_stencil(2)
+    Bp = Box.centered(4, 2)
+    vals = np.zeros(Bp.shape)
+    for out in (Bp, Box([-4, -3], [3, 3]), Box([-3, -3], [3, 4])):
+        with pytest.raises(ValueError, match="leave the domain"):
+            sten.force(vals, Bp, out)
+        with pytest.raises(ValueError, match="leave the domain"):
+            sten.energy_sum(vals, Bp, out)
+
+
 def test_osc_bound_formula():
     assert osc_bound([lamlab.GOLDEN_MEAN], 1) == pytest.approx(
         lamlab.GOLDEN_MEAN + 2.0)

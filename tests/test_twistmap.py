@@ -8,6 +8,9 @@ from lamlab import (
     CheckInconclusive,
     Configuration,
     ContinuationRefused,
+    ContractionEscape,
+    Model,
+    NoConvergence,
     TwistOrbit,
     chaotic_momentum_orbit,
     extract_cantorus,
@@ -115,6 +118,95 @@ def test_extract_cantorus_invariance(model1_single, golden):
     assert out.s_values.shape == (16,)
     steps = np.diff(out.s_values)
     assert np.allclose(steps, float(golden[0]), atol=1e-12)
+
+
+def per_member_cantorus(model, eps, phi, omega, window, n_samples, s,
+                        newton_tol=1e-12):
+    # reference: one sample_config call and value_at lookup per member,
+    # from the generic base parameter s
+    w = float(omega[0])
+    Bp = window.padded(model.stencil.range)
+    s_values = s + w * np.arange(n_samples + 1)
+    x0s = np.empty(n_samples + 1)
+    xm1s = np.empty(n_samples + 1)
+    for k in range(n_samples + 1):
+        sample = sample_config(phi, [w], s_values[k], Bp)
+        res = quasi_newton_continue(model, eps, sample, window, tol=newton_tol)
+        x0s[k] = res.solution.value_at((0,))
+        xm1s[k] = res.solution.value_at((-1,))
+    ys = x0s - xm1s
+    nx, ny = standard_map_step(model.potential, eps, x0s[:-1], ys[:-1])
+    errs = np.maximum(np.abs(nx - x0s[1:]), np.abs(ny - ys[1:]))
+    worst = int(np.argmax(errs))
+    points = np.column_stack([np.mod(x0s[:n_samples], 1.0), ys[:n_samples]])
+    return points, s_values[:n_samples], float(errs[worst]), worst
+
+
+@pytest.mark.parametrize("wells,p,s0,radius", [
+    (1, [1.0], 0.5, 10),
+    (1, [1.0], 0.0658, 16),
+    (2, [0.3, 0.7], 0.25, 9),
+    (2, [0.55, 0.45], 0.9, 12),
+])
+def test_extract_cantorus_equals_per_member_reference(
+        model1, model1_single, golden, wells, p, s0, radius):
+    model = model1_single if wells == 1 else model1
+    eps = model.constants.eps1 / 2.0
+    phi = step_hull_from_simplex(p, model.potential.minima)
+    window = Box.centered(radius, 1)
+    out = extract_cantorus(model, eps, phi, golden, window, 40, s0=s0)
+    points, s_values, err, worst = per_member_cantorus(
+        model, eps, phi, golden, window, 40, float(out.s_values[0]))
+    assert np.array_equal(out.points, points)
+    assert np.array_equal(out.s_values, s_values)
+    assert out.invariance_error == err
+    assert out.worst_index == worst
+    assert out.mean_momentum == float(np.mean(points[:, 1]))
+
+
+def first_member_failure(model, eps, phi, omega, window, n_samples, s,
+                         newton_tol=1e-12):
+    w = float(omega[0])
+    Bp = window.padded(model.stencil.range)
+    for k in range(n_samples + 1):
+        sample = sample_config(phi, [w], s + w * k, Bp)
+        try:
+            quasi_newton_continue(model, eps, sample, window, tol=newton_tol)
+        except (NoConvergence, ContractionEscape) as exc:
+            return k, exc
+    return None, None
+
+
+def test_extract_cantorus_raises_first_failing_member(model1, golden):
+    eps = model1.constants.eps1 / 2.0
+    phi = step_hull_from_simplex([0.3, 0.7], model1.potential.minima)
+    # a window this small breaks invariance, so tol=1 turns that check
+    # off; its members differ in their largest displacement
+    window = Box.centered(3, 1)
+    s = float(extract_cantorus(model1, eps, phi, golden, window, 12, tol=1.0)
+              .s_values[0])
+
+    # a budget no member meets: the first member's NoConvergence
+    with pytest.raises(NoConvergence) as caught:
+        extract_cantorus(model1, eps, phi, golden, window, 12, tol=1.0,
+                         newton_tol=1e-30)
+    k, want = first_member_failure(model1, eps, phi, golden, window, 12, s,
+                                   newton_tol=1e-30)
+    assert k == 0 and str(caught.value) == str(want)
+
+    # a trust radius some members stay inside and later ones leave: the
+    # first one that leaves is the one reported
+    disps = [quasi_newton_continue(
+        model1, eps, sample_config(phi, golden, s + float(golden[0]) * j,
+                                   window.padded(1)), window).displacement
+        for j in range(13)]
+    tight = Model(model1.potential, model1.stencil,
+                  model1.constants.replace(delta0=0.75 * max(disps)))
+    k, want = first_member_failure(tight, eps, phi, golden, window, 12, s)
+    assert isinstance(want, ContractionEscape) and k > 0
+    with pytest.raises(ContractionEscape) as caught:
+        extract_cantorus(tight, eps, phi, golden, window, 12, tol=1.0)
+    assert str(caught.value) == str(want)
 
 
 def test_extract_cantorus_guards(model1_single, model2, golden):
