@@ -6,8 +6,7 @@ families out of well-label data, and converts them into circle measures.
 """
 
 from .birkhoff import (OrderVerdict, check_birkhoff, check_comparison_principle,
-                       check_minmax_inequality, meet_join, rotation_vector,
-                       translate)
+                       check_minmax_inequality, meet_join, translate)
 from .continuation import (ContinuationResult, DefectResult, LaminationResult,
                            action, continue_lamination, defect,
                            defect_subadditivity_check, maximum_breaks_order,
@@ -20,15 +19,14 @@ from .hull import (GOLDEN_MEAN, HullFunction, check_irrational, empirical_hull,
                    generic_parameter, hull_distance_mod_translation,
                    normalize_simplex, sample_config, step_hull_from_simplex)
 from .lattice import Box, Configuration, ball_offsets, l1_norms
-from .measure import (CircleMeasure, integrate, measure_from_density,
-                      measure_from_hull, psi_epsilon, vague_distance)
+from .measure import (CircleMeasure, measure_from_density, measure_from_hull,
+                      psi_epsilon, vague_distance)
 from .model import (InteractionStencil, Model, ModelConstants,
                     Potential, build_model, builtin_harmonic_stencil,
                     builtin_n_well, estimate_constants, find_criticals,
                     osc_bound, potential_from_table)
 from .twistmap import (CantorusResult, TwistOrbit, chaotic_momentum_orbit,
-                       conjugacy, extract_cantorus, fk_residual, pair_step,
-                       standard_map_step)
+                       extract_cantorus, standard_map_step)
 from .verification import CheckRow, run_suite
 
 __version__ = "0.1.0"
@@ -43,16 +41,14 @@ __all__ = [
     "UnclassifiableSite", "action", "ball_offsets", "build_model",
     "builtin_harmonic_stencil", "builtin_n_well", "check_birkhoff",
     "check_comparison_principle", "check_irrational",
-    "check_minmax_inequality", "chaotic_momentum_orbit", "conjugacy",
-    "continue_lamination",
-    "defect", "defect_subadditivity_check", "empirical_hull",
-    "estimate_constants", "extract_cantorus", "find_criticals", "fk_residual",
-    "generic_parameter", "hull_distance_mod_translation", "integrate",
+    "check_minmax_inequality", "chaotic_momentum_orbit",
+    "continue_lamination", "defect", "defect_subadditivity_check",
+    "empirical_hull", "estimate_constants", "extract_cantorus",
+    "find_criticals", "generic_parameter", "hull_distance_mod_translation",
     "l1_norms", "maximum_breaks_order", "measure_from_density",
     "measure_from_hull", "meet_join", "normalize_simplex", "osc_bound",
-    "pair_step", "potential_from_table", "psi_epsilon",
-    "quasi_newton_continue",
-    "residual_field", "rotation_vector", "run_suite", "sample_config",
-    "standard_map_step", "step_hull_from_simplex", "translate",
-    "truncation_consistency", "vague_distance",
+    "potential_from_table", "psi_epsilon", "quasi_newton_continue",
+    "residual_field", "run_suite", "sample_config", "standard_map_step",
+    "step_hull_from_simplex", "translate", "truncation_consistency",
+    "vague_distance",
 ]

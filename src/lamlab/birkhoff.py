@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckInconclusive, NotBirkhoff
+from .errors import CheckInconclusive
 from .lattice import Box, Configuration
 
 TIE_TOL = 1e-9
@@ -104,28 +104,6 @@ def check_birkhoff(x, k_max, l_max=None, tol=TIE_TOL):
     if int(k_max) > 0 and shifted_overlaps == 0:
         raise ValueError("window too small: no shifted translate overlaps it")
     return verdict
-
-
-def rotation_vector(x, tol=TIE_TOL):
-    """Least-squares rotation vector of a configuration, with deviation.
-
-    Fits x_i = a + w . i and returns (w, max deviation from the fit). An
-    ordered configuration stays within one unit of its linear drift, so a
-    deviation beyond 1 + tol raises NotBirkhoff with the worst site.
-    """
-    sites = x.domain.sites().astype(float)
-    A = np.hstack([sites, np.ones((sites.shape[0], 1))])
-    coef, *_ = np.linalg.lstsq(A, x.values.ravel(), rcond=None)
-    fit = A @ coef
-    dev = np.abs(x.values.ravel() - fit)
-    worst = int(np.argmax(dev))
-    deviation = float(dev[worst])
-    if deviation > 1.0 + tol:
-        raise NotBirkhoff(
-            f"deviation {deviation:.3g} from linear drift exceeds one period",
-            witness=tuple(x.domain.sites()[worst].tolist()),
-        )
-    return coef[:-1].copy(), deviation
 
 
 def meet_join(x, y):

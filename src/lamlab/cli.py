@@ -34,7 +34,7 @@ from .model import (Model, InteractionStencil, builtin_harmonic_stencil,
                     builtin_n_well, estimate_constants, osc_bound,
                     potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
-from .verification import run_suite
+from .verification import CHECKS, run_suite
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -94,12 +94,15 @@ def _load_spec(path):
     return spec
 
 
-def _validate_keys(spec, command):
-    allowed = _ALLOWED[command]
-    required = _REQUIRED[command]
-    unknown = set(spec) - allowed
+def _reject_unknown(obj, allowed, what):
+    unknown = set(obj) - allowed
     if unknown:
-        raise SchemaError(f"unknown spec keys for {command}: {sorted(unknown)}")
+        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _validate_keys(spec, command):
+    required = _REQUIRED[command]
+    _reject_unknown(spec, _ALLOWED[command], f"spec keys for {command}")
     missing = required - set(spec)
     if missing:
         raise SchemaError(f"missing spec keys for {command}: {sorted(missing)}")
@@ -116,6 +119,15 @@ def _finite(v, what):
     raise SchemaError(f"{what} must be a finite number")
 
 
+def _integer(v, what, least=None):
+    """``v`` as an int of at least ``least``; booleans are refused."""
+    if isinstance(v, int) and not isinstance(v, bool) \
+            and (least is None or v >= least):
+        return v
+    bound = "" if least is None else f" of at least {least}"
+    raise SchemaError(f"{what} must be an integer{bound}")
+
+
 def _model_from_spec(spec, omega=None):
     """Build the model of ``spec.model`` once.
 
@@ -126,18 +138,15 @@ def _model_from_spec(spec, omega=None):
     mspec = spec.get("model")
     if not isinstance(mspec, dict):
         raise SchemaError("spec.model must be an object")
-    unknown = set(mspec) - {"potential", "stencil", "K", "k"}
-    if unknown:
-        raise SchemaError(f"unknown model keys: {sorted(unknown)}")
+    _reject_unknown(mspec, {"potential", "stencil", "K", "k"}, "model")
     pspec = mspec.get("potential", {"kind": "n_well", "N": 2})
     if not isinstance(pspec, dict) or "kind" not in pspec:
         raise SchemaError("model.potential must be an object with a kind")
     if pspec["kind"] == "n_well":
-        N = pspec.get("N", 2)
-        if not isinstance(N, int) or N < 1:
-            raise SchemaError("n_well potential needs a positive integer N")
-        potential = builtin_n_well(N)
+        _reject_unknown(pspec, {"kind", "N"}, "model.potential")
+        potential = builtin_n_well(_integer(pspec.get("N", 2), "n_well N", 1))
     elif pspec["kind"] == "table":
+        _reject_unknown(pspec, {"kind", "samples"}, "model.potential")
         samples = pspec.get("samples")
         if not isinstance(samples, list) or len(samples) < 8:
             raise SchemaError("table potential needs at least 8 samples")
@@ -149,13 +158,15 @@ def _model_from_spec(spec, omega=None):
     sspec = mspec.get("stencil", {"kind": "harmonic", "d": 1})
     if not isinstance(sspec, dict) or sspec.get("kind") != "harmonic":
         raise SchemaError("model.stencil must be harmonic (with a dimension d)")
-    d = sspec.get("d", 1)
-    if not isinstance(d, int) or d < 1:
-        raise SchemaError("stencil dimension d must be a positive integer")
+    _reject_unknown(sspec, {"kind", "d", "flip_sign"}, "model.stencil")
+    d = _integer(sspec.get("d", 1), "stencil dimension d", 1)
+    flip_sign = sspec.get("flip_sign", False)
+    if not isinstance(flip_sign, bool):
+        raise SchemaError("stencil flip_sign must be true or false")
     if omega is not None:
         omega = _parse_omega(omega, d)
     stencil = builtin_harmonic_stencil(d)
-    if sspec.get("flip_sign", False):
+    if flip_sign:
         base = stencil
         stencil = InteractionStencil(
             d, 1,
@@ -183,9 +194,7 @@ def _parse_omega(raw, d):
             if v not in OMEGA_NAMES:
                 raise SchemaError(f"unknown omega name {v!r}")
             return OMEGA_NAMES[v]
-        if isinstance(v, (int, float)):
-            return _finite(v, "every omega entry")
-        raise SchemaError("omega entries must be numbers or known names")
+        return _finite(v, "every omega entry (a number or a known name)")
 
     if isinstance(raw, list):
         omega = [one(v) for v in raw]
@@ -219,25 +228,18 @@ def _parse_eps(raw, constants):
 
 
 def _parse_window(spec, model, default=None):
-    radius = spec.get("window_radius", default)
-    if radius is None:
-        raise SchemaError("missing window_radius")
-    if not isinstance(radius, int) or radius <= model.stencil.range:
-        raise SchemaError("window_radius must be an integer above the stencil range")
+    radius = _integer(spec.get("window_radius", default), "window_radius",
+                      model.stencil.range + 1)
     return Box.centered(radius, model.stencil.d)
 
 
 def _parse_k_max(spec):
-    k_max = spec.get("k_max", 2)
-    if not isinstance(k_max, int) or k_max < 0:
-        raise SchemaError("k_max must be a nonnegative integer")
-    return k_max
+    return _integer(spec.get("k_max", 2), "k_max", 0)
 
 
 def _parse_weights(p, n):
     """Well weights ``p``: a list of ``n`` finite numbers, as floats."""
-    if not isinstance(p, list) or len(p) != n or \
-            not all(isinstance(v, (int, float)) for v in p):
+    if not isinstance(p, list) or len(p) != n:
         raise SchemaError(f"p must be a list of {n} numbers (one weight per well)")
     return [_finite(v, "every entry of p") for v in p]
 
@@ -259,7 +261,7 @@ def _site_header(d):
     return ["i"] if d == 1 else [f"i{a + 1}" for a in range(d)]
 
 
-def _manifest(out, command, effective, model, seed, threads, tol):
+def _manifest(out, command, effective, model, seed, tol):
     # threads deliberately omitted: outputs must be byte-identical no
     # matter how the work is scheduled
     body = {
@@ -309,12 +311,17 @@ def cmd_continue(spec, out, seed, threads, tol):
     else:
         s = _finite(s, "s")
     k_max = _parse_k_max(spec)
+    M1, M2 = spec.get("M1"), spec.get("M2")
+    probe = M1 is not None or M2 is not None
+    if probe:
+        M1 = _integer(M1, "M1", 0)
+        M2 = _integer(M2, "M2", M1 + model.stencil.range)
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p, "s": s,
         "window_radius": int(window.hi[0]), "k_max": k_max,
-        "M1": spec.get("M1"), "M2": spec.get("M2"),
+        "M1": M1, "M2": M2,
     }
-    _manifest(out, "continue", effective, model, seed, threads, tol)
+    _manifest(out, "continue", effective, model, seed, tol)
 
     x0 = sample_config(phi, omega, s, Bp)
     result = quasi_newton_continue(model, eps, x0, window, tol=tol)
@@ -330,10 +337,7 @@ def cmd_continue(spec, out, seed, threads, tol):
         "ordered": verdict.ordered,
         "violation": list(verdict.violation) if verdict.violation else None,
     }
-    if spec.get("M1") is not None or spec.get("M2") is not None:
-        M1, M2 = spec.get("M1"), spec.get("M2")
-        if not (isinstance(M1, int) and isinstance(M2, int)):
-            raise SchemaError("M1 and M2 must both be integers")
+    if probe:
         big = Box.centered(M2 + 3 * model.stencil.range, window.d)
         labels_big = sample_config(phi, omega, s, big)
         summary["truncation"] = truncation_consistency(
@@ -351,19 +355,17 @@ def cmd_lamination(spec, out, seed, threads, tol):
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model)
     p = _parse_simplex(spec, model)
-    n_samples = spec.get("n_samples")
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise SchemaError("n_samples must be a positive integer")
+    n_samples = _integer(spec.get("n_samples"), "n_samples", 1)
     k_max = _parse_k_max(spec)
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p,
         "window_radius": int(window.hi[0]), "n_samples": n_samples,
         "k_max": k_max,
     }
-    _manifest(out, "lamination", effective, model, seed, threads, tol)
+    _manifest(out, "lamination", effective, model, seed, tol)
 
     lam = continue_lamination(model, eps, p, omega, window, n_samples,
-                              tol=tol, k_max=k_max, workers=threads)
+                              tol=tol, k_max=k_max)
     for j, member in enumerate(lam.members):
         rows = _solution_rows(model, eps, window, member.labels, member)
         _write_csv(out / f"member_{j:03d}.csv",
@@ -399,22 +401,22 @@ def cmd_measure(spec, out, seed, threads, tol):
     model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     d = model.stencil.d
-    n = spec.get("n", DEFAULT_DENSITY_RADIUS.get(d))
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("n must be a positive integer ball radius")
+    n = _integer(spec.get("n", DEFAULT_DENSITY_RADIUS.get(d)), "n", 1)
     window = _parse_window(spec, model, default=n)
     p = _parse_simplex(spec, model)
     inj = spec.get("injectivity")
-    if inj:
-        spacing = (_finite(inj.get("spacing", 0.25), "injectivity spacing")
-                   if isinstance(inj, dict) else 0.25)
+    if inj is not None:
+        if not isinstance(inj, dict):
+            raise SchemaError("injectivity must be an object or null")
+        _reject_unknown(inj, {"spacing"}, "injectivity")
+        spacing = _finite(inj.get("spacing", 0.25), "injectivity spacing")
         if not 0.0 < spacing <= 1.0:
             raise SchemaError("injectivity spacing must lie in (0, 1]")
     effective = {
         "omega": [float(w) for w in omega], "eps": eps, "p": p, "n": n,
         "window_radius": int(window.hi[0]), "injectivity": inj,
     }
-    _manifest(out, "measure", effective, model, seed, threads, tol)
+    _manifest(out, "measure", effective, model, seed, tol)
 
     mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
     _write_json(out / "measure.json", {"atoms": mu.as_pairs()})
@@ -426,7 +428,7 @@ def cmd_measure(spec, out, seed, threads, tol):
                "table": [[rad, [float(v) for v in fr]]
                          for rad, fr in mu.density_table]}
 
-    if inj:
+    if inj is not None:
         steps = int(round(1.0 / spacing))
         grid = []
         for combo in np.ndindex(*([steps + 1] * (sig_n - 1))):
@@ -472,9 +474,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     model, omega = _model_from_spec(spec, spec["omega"])
     eps = _parse_eps(spec["eps"], model.constants)
     window = _parse_window(spec, model, default=16)
-    n_samples = spec.get("n_samples", 64)
-    if not isinstance(n_samples, int) or n_samples < 2:
-        raise SchemaError("n_samples must be an integer of at least 2")
+    n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     wells = spec.get("wells", "minima")
     if wells == "minima":
         sigma = model.potential.minima
@@ -492,7 +492,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
         "wells": wells, "window_radius": int(window.hi[0]),
         "n_samples": n_samples, "s0": s0,
     }
-    _manifest(out, "cantorus", effective, model, seed, threads, tol)
+    _manifest(out, "cantorus", effective, model, seed, tol)
 
     hull = step_hull_from_simplex(p, sigma)
     res = extract_cantorus(model, eps, hull, omega, window, n_samples,
@@ -518,14 +518,13 @@ def _cmd_momentum(spec, out, model, seed, threads, tol):
         labels = spec["labels"]
         if not isinstance(labels, list) or len(labels) != Bp.size:
             raise SchemaError(f"labels must be a list of {Bp.size} values")
-        labels = np.asarray(labels, dtype=float)
+        labels = np.asarray([_finite(v, "every label") for v in labels])
     elif "coin_flip" in spec:
         cf = spec["coin_flip"]
         if not isinstance(cf, dict):
             raise SchemaError("coin_flip must be an object")
-        cf_seed = cf.get("seed", seed)
-        if not isinstance(cf_seed, int) or cf_seed < 0:
-            raise SchemaError("coin_flip seed must be a nonnegative integer")
+        _reject_unknown(cf, {"seed"}, "coin_flip")
+        cf_seed = _integer(cf.get("seed", seed), "coin_flip seed", 0)
         rng = np.random.default_rng(cf_seed)
         labels = rng.integers(0, 2, Bp.size).astype(float)
     else:
@@ -534,7 +533,7 @@ def _cmd_momentum(spec, out, model, seed, threads, tol):
         "eps": eps, "window_radius": int(window.hi[0]),
         "labels": [float(v) for v in labels],
     }
-    _manifest(out, "cantorus", effective, model, seed, threads, tol)
+    _manifest(out, "cantorus", effective, model, seed, tol)
 
     orbit = chaotic_momentum_orbit(model.potential, eps, labels, window,
                                    newton_tol=tol)
@@ -556,6 +555,9 @@ def cmd_verify(spec, out, seed, threads, tol):
         overrides = spec.get("checks", {})
         if not isinstance(overrides, dict):
             raise SchemaError("checks must map check names to tolerances")
+        _reject_unknown(overrides, {name for name, _ in CHECKS}, "check")
+        for name, value in overrides.items():
+            _finite(value, f"the tolerance of {name}")
         if "model" in spec:
             model, _ = _model_from_spec(spec)
     rows = run_suite(model, seed=seed, overrides=overrides)
@@ -563,7 +565,7 @@ def cmd_verify(spec, out, seed, threads, tol):
     for r in rows:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
     if out is not None:
-        _manifest(out, "verify", {"checks": overrides}, model, seed, threads, tol)
+        _manifest(out, "verify", {"checks": overrides}, model, seed, tol)
         _write_json(out / "verify.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in rows],
@@ -586,7 +588,7 @@ def cmd_sweep(spec, out, seed, threads, tol):
         "omega": [float(w) for w in omega], "eps_values": eps_list, "p": p,
         "s": s, "window_radius": int(window.hi[0]),
     }
-    _manifest(out, "sweep", effective, model, seed, threads, tol)
+    _manifest(out, "sweep", effective, model, seed, tol)
 
     x0 = sample_config(phi, omega, s, Bp)
 
@@ -654,9 +656,7 @@ def main(argv=None):
             spec = _load_spec(None)
         seed = args.seed
         if seed is None:
-            seed = spec.get("seed", 0) if spec else 0
-            if not isinstance(seed, int):
-                raise SchemaError("seed must be an integer")
+            seed = _integer(spec.get("seed", 0) if spec else 0, "seed")
         out = None
         if args.out is not None:
             out = Path(args.out)

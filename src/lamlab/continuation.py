@@ -26,8 +26,8 @@ import numpy as np
 from .birkhoff import check_birkhoff
 from .errors import (ContinuationRefused, ContractionEscape, LaminationBroken,
                      NoConvergence, NotBirkhoff)
-from .hull import (HullFunction, GENERICITY_OFFSET, check_irrational,
-                   generic_parameter, sample_config, step_hull_from_simplex)
+from .hull import (HullFunction, check_irrational, generic_parameter,
+                   sample_config, step_hull_from_simplex)
 from .lattice import Box, Configuration
 
 MAX_ITER = 200
@@ -53,6 +53,67 @@ def residual_field(model, eps, x, B):
         raise ValueError("configuration must cover the collar around the window")
     force = model.stencil.force(x.values, x.domain, interior)
     return model.potential.d1(x.values[interior.slice_in(x.domain)]) + eps * force
+
+
+_RANGE_NAMES = {"eps0": "certified", "eps1": "convexity"}
+
+
+def _refuse_coupling(constants, eps, bound):
+    """Refuse a negative coupling, or one beyond the named bound.
+
+    ``bound`` is "eps0" (where continuation contracts) or "eps1" (where
+    window energies stay convex and sites stay classifiable).
+    """
+    if eps < 0:
+        raise ValueError("coupling must be nonnegative")
+    limit = getattr(constants, bound)
+    if eps > limit * (1.0 + 1e-12):
+        raise ContinuationRefused(
+            f"eps {eps:.3g} is beyond the {_RANGE_NAMES[bound]} range "
+            f"{bound} = {limit:.3g}"
+        )
+
+
+def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
+    """Frozen-diagonal sweeps over the interior of Bp, updating X in place.
+
+    ``labels`` holds critical-point values on Bp. The diagonal is V'' at
+    the labels of the interior sites, and the iterate must stay within
+    delta0 of them there. Returns the sweep count, the final sup
+    residual, the largest ratio of consecutive step norms and the final
+    distance from the labels.
+    """
+    delta0 = model.constants.delta0
+    sl = interior.slice_in(Bp)
+    anchor = labels[sl]
+    diag = model.potential.d2(anchor)
+    rate = 0.0
+    prev = None
+    disp = 0.0
+    it = 0
+    while True:
+        resid = (model.potential.d1(X[sl])
+                 + eps * model.stencil.force(X, Bp, interior))
+        sup = float(np.abs(resid).max())
+        if sup <= tol:
+            return it, sup, rate, disp
+        if it >= max_iter:
+            raise NoConvergence(
+                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
+            )
+        step = resid / diag
+        X[sl] -= step
+        it += 1
+        snorm = float(np.abs(step).max())
+        if prev is not None and prev > 1e-13:
+            rate = max(rate, snorm / prev)
+        prev = snorm
+        disp = float(np.abs(X[sl] - anchor).max())
+        if disp >= delta0:
+            raise ContractionEscape(
+                f"iterate left the trust ball: displacement {disp:.3e} "
+                f">= delta0 {delta0:.3e}"
+            )
 
 
 def _check_labels(potential, values, require_minima=False):
@@ -87,13 +148,7 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
     Escaping the trust ball of radius delta0 around the labels aborts the
     run, and so does failing to reach ``tol`` within ``max_iter`` sweeps.
     """
-    cst = model.constants
-    if eps < 0:
-        raise ValueError("coupling must be nonnegative")
-    if eps > cst.eps0 * (1.0 + 1e-12):
-        raise ContinuationRefused(
-            f"eps {eps:.3g} is beyond the certified range eps0 = {cst.eps0:.3g}"
-        )
+    _refuse_coupling(model.constants, eps, "eps0")
     r = model.stencil.range
     Bp = B.padded(r)
     if not x0.domain.contains_box(Bp):
@@ -101,39 +156,9 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
     labels = x0.restrict(Bp)
     _check_labels(model.potential, labels.values)
 
-    interior = B.interior(r)
-    sl = interior.slice_in(Bp)
     X = labels.values.copy()
-    anchor = labels.values[sl].copy()
-    diag = model.potential.d2(anchor)
-
-    rate = 0.0
-    prev = None
-    disp = 0.0
-    it = 0
-    while True:
-        resid = (model.potential.d1(X[sl])
-                 + eps * model.stencil.force(X, Bp, interior))
-        sup = float(np.abs(resid).max())
-        if sup <= tol:
-            break
-        if it >= max_iter:
-            raise NoConvergence(
-                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
-            )
-        step = resid / diag
-        X[sl] -= step
-        it += 1
-        snorm = float(np.abs(step).max())
-        if prev is not None and prev > 1e-13:
-            rate = max(rate, snorm / prev)
-        prev = snorm
-        disp = float(np.abs(X[sl] - anchor).max())
-        if disp >= cst.delta0:
-            raise ContractionEscape(
-                f"iterate left the trust ball: displacement {disp:.3e} "
-                f">= delta0 {cst.delta0:.3e}"
-            )
+    it, sup, rate, disp = _relax(model, eps, X, Bp, B.interior(r),
+                                 labels.values, tol, max_iter)
     return ContinuationResult(Configuration(Bp, X), it, sup, rate, disp, True,
                               labels=labels)
 
@@ -207,12 +232,7 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
     interior.
     """
     cst = model.constants
-    if eps < 0:
-        raise ValueError("coupling must be nonnegative")
-    if eps > cst.eps1 * (1.0 + 1e-12):
-        raise ContinuationRefused(
-            f"eps {eps:.3g} is beyond the convexity range eps1 = {cst.eps1:.3g}"
-        )
+    _refuse_coupling(cst, eps, "eps1")
     r = model.stencil.range
     Bp = B.padded(r)
     if not (base.domain.contains_box(Bp) and z.domain.contains_box(Bp)):
@@ -229,28 +249,8 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
 
     interior = B.interior(r)
     sl = interior.slice_in(Bp)
-    anchor = base.values[sl]
-    diag = model.potential.d2(anchor)
     X = z.values.copy()
-    it = 0
-    while True:
-        resid = (model.potential.d1(X[sl])
-                 + eps * model.stencil.force(X, Bp, interior))
-        sup = float(np.abs(resid).max())
-        if sup <= tol:
-            break
-        if it >= max_iter:
-            raise NoConvergence(
-                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
-            )
-        X[sl] -= resid / diag
-        it += 1
-        off = float(np.abs(X[sl] - anchor).max())
-        if off >= cst.delta0:
-            raise ContractionEscape(
-                f"relaxation left the trust ball: offset {off:.3e} "
-                f">= delta0 {cst.delta0:.3e}"
-            )
+    it = _relax(model, eps, X, Bp, interior, base.values, tol, max_iter)[0]
     relaxed = Configuration(Bp, X)
     value = action(model, eps, B, relaxed) - action(model, eps, B, z)
     disp = float(np.max(np.abs(X[sl] - z.values[sl])))
@@ -304,17 +304,15 @@ class LaminationResult:
 
 
 def continue_lamination(model, eps, p, omega, window, n_samples,
-                        tol=1e-12, k_max=2, order_tol=LABEL_TOL, workers=1):
+                        tol=1e-12, k_max=2, order_tol=LABEL_TOL):
     """Continue a family of hull samples into an ordered lamination window.
 
     The hull is the step function whose plateau lengths are the simplex
     weights p over the wells of the background. Sample parameters start at
     the midpoints (2j+1)/(2n) and are nudged off plateau boundaries.
-    Every member is continued over ``window``, checked for the Birkhoff
-    property, and the family is checked for pairwise order; a crossing
-    raises LaminationBroken. Members are independent, so ``workers``
-    threads may continue them concurrently; results are collected in
-    member order either way.
+    Members are continued over ``window`` one after another, in member
+    order; each is checked for the Birkhoff property, and the family is
+    checked for pairwise order, a crossing raising LaminationBroken.
     """
     omega = check_irrational(omega)
     phi = step_hull_from_simplex(p, model.potential.minima)
@@ -323,17 +321,10 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
         generic_parameter(phi, omega, Bp, (2 * j + 1) / (2.0 * n_samples))
         for j in range(int(n_samples))
     ]
-    starts = [sample_config(phi, omega, s, Bp) for s in s_values]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            members = list(pool.map(
-                lambda x0: quasi_newton_continue(model, eps, x0, window, tol=tol),
-                starts))
-    else:
-        members = [quasi_newton_continue(model, eps, x0, window, tol=tol)
-                   for x0 in starts]
+    members = [quasi_newton_continue(model, eps,
+                                     sample_config(phi, omega, s, Bp), window,
+                                     tol=tol)
+               for s in s_values]
     # translate comparisons must not read values within 2r of the frozen
     # collar: the collar suppresses their relaxation at eps^2 scale with a
     # pattern-dependent sign, which fakes crossings at tie translates
@@ -410,17 +401,8 @@ def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum",
     cands = _phase_candidates(omega, k_scan, n_candidates, window.d)
     phases = [c[2] for c in cands]
 
-    # one genericity loop for the base parameter and all phase shifts
-    args = Bp.sites() @ omega
-    s = float(s0)
-    for _ in range(10000):
-        pos = np.mod(s + np.add.outer(np.asarray([0.0] + phases), args), 1.0)
-        d = np.minimum(pos, 1.0 - pos)
-        if float(np.min(d)) > 1e-9:
-            break
-        s += GENERICITY_OFFSET
-    else:
-        raise ValueError("no generic parameter found")
+    # the base parameter and every phase-shifted one stay generic
+    s = generic_parameter(phi, omega, Bp, s0, phases=[0.0] + phases)
 
     base = quasi_newton_continue(
         model, eps, sample_config(phi, omega, s, Bp), window, tol=1e-12)

@@ -80,14 +80,6 @@ class HullFunction:
         self.values = values
         self.plateau_lengths = plateau_lengths
 
-    @property
-    def plateau_count(self):
-        return self.breakpoints.size
-
-    @property
-    def is_normalized(self):
-        return self.values[0] > 0.0 and self.values[-1] <= 1.0
-
     def value(self, s):
         """Evaluate phi(s), left-continuous, with a snap guard.
 
@@ -193,15 +185,18 @@ def sample_config(phi, omega, s, window):
     return Configuration(window, phi.value(args))
 
 
-def generic_parameter(phi, omega, window, s0, clearance=RESONANCE_TOL):
+def generic_parameter(phi, omega, window, s0, clearance=RESONANCE_TOL,
+                      phases=(0.0,)):
     """Nudge s0 until no sampled argument sits near a plateau boundary.
 
-    Keeps adding an irrational offset while any s0 + omega . i lands
-    within ``clearance`` of a breakpoint mod 1; termination is guaranteed
+    Keeps adding an irrational offset while any s0 + phase + omega . i,
+    for a site i of the window and one of the ``phases``, lands within
+    ``clearance`` of a breakpoint mod 1; termination is guaranteed
     because the offsets equidistribute while the bad set has small measure.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    args = window.sites() @ omega
+    args = np.add.outer(np.asarray(phases, dtype=float),
+                        window.sites() @ omega).ravel()
     bp = phi.breakpoints
     s = float(s0)
     for _ in range(10000):

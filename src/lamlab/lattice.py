@@ -154,24 +154,5 @@ class Configuration:
     def restrict(self, box):
         return Configuration(box, self.box_values(box))
 
-    def copy(self):
-        return Configuration(self.domain, self.values)
-
-    def osc(self, r):
-        """Largest |x_j - x_i| over pairs with ||j - i||_1 <= r."""
-        worst = 0.0
-        for k in ball_offsets(self.d, r):
-            if not np.any(k):
-                continue
-            shifted = self.domain.shift(-k)
-            overlap = self.domain.intersect(shifted)
-            if overlap is None:
-                continue
-            a = self.values[overlap.slice_in(self.domain)]
-            b = self.values[overlap.shift(k).slice_in(self.domain)]
-            if a.size:
-                worst = max(worst, float(np.max(np.abs(b - a))))
-        return worst
-
     def __repr__(self):
         return f"Configuration(domain={self.domain})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationRefused, UnclassifiableSite
+from .errors import UnclassifiableSite
 from .hull import generic_parameter, sample_config, step_hull_from_simplex
 from .lattice import Box, l1_norms
 
@@ -32,13 +32,11 @@ class CircleMeasure:
     """Atomic probability measure on R/Z, optionally with a density table.
 
     ``density_table`` holds (ball radius, per-well fractions) rows when
-    the measure came from counting; ``continuous_part`` may hold a hull
-    whose Lebesgue pushforward is added on top of the atoms.
+    the measure came from counting.
     """
 
     atoms: np.ndarray
     masses: np.ndarray
-    continuous_part: object = None
     density_table: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -64,7 +62,7 @@ class CircleMeasure:
             keep_m.append(float(m))
         self.atoms = np.asarray(keep_a)
         self.masses = np.asarray(keep_m)
-        total = float(np.sum(self.masses)) + (1.0 if self.continuous_part else 0.0)
+        total = float(np.sum(self.masses))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"total mass {total!r} is not 1")
 
@@ -133,23 +131,12 @@ def measure_from_density(config, sigma, delta0, n):
     return CircleMeasure(sigma, fractions, density_table=table)
 
 
-def integrate(mu, f):
-    """Integral of a one-periodic test function against the measure."""
-    total = float(sum(m * f(a) for a, m in zip(mu.atoms, mu.masses)))
-    if mu.continuous_part is not None:
-        for v, length in mu.continuous_part.plateau_measures():
-            total += length * f(np.mod(v, 1.0))
-    return total
-
-
 def vague_distance(a, b):
     """Total variation on the union of the atom sets.
 
     Metrizes vague convergence while all measures are supported on the
     same finite well set; differing supports are handled by zero-filling.
     """
-    if a.continuous_part is not None or b.continuous_part is not None:
-        raise ValueError("vague distance is defined for atomic measures")
     locs = np.concatenate([a.atoms, b.atoms])
     signed = np.concatenate([a.masses, -b.masses])
     order = np.argsort(locs, kind="stable")
@@ -174,13 +161,10 @@ def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):
     of radius n. Certified only up to eps1, where continuation keeps every
     site inside its classification interval.
     """
-    from .continuation import quasi_newton_continue
+    from .continuation import _refuse_coupling, quasi_newton_continue
 
     cst = model.constants
-    if eps > cst.eps1 * (1.0 + 1e-12):
-        raise ContinuationRefused(
-            f"eps {eps:.3g} is beyond the convexity range eps1 = {cst.eps1:.3g}"
-        )
+    _refuse_coupling(cst, eps, "eps1")
     if n is None:
         n = DEFAULT_DENSITY_RADIUS.get(window.d)
         if n is None:

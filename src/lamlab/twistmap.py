@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import quasi_newton_continue
-from .errors import CheckInconclusive, ContinuationRefused
-from .hull import GENERICITY_OFFSET, check_irrational
+from .continuation import _refuse_coupling, quasi_newton_continue
+from .errors import CheckInconclusive
+from .hull import check_irrational, generic_parameter
 from .lattice import Box, Configuration
 from .model import Model, builtin_harmonic_stencil, estimate_constants
 
@@ -36,18 +36,6 @@ def standard_map_step(V, eps, x, y):
         )
     kick = V.d1(x) / eps
     return x + y + kick, y + kick
-
-
-def pair_step(V, eps, a, b):
-    """The two-point formulation: (x_{i-1}, x_i) -> (x_i, x_{i+1})."""
-    if eps <= 0.0:
-        raise ValueError("the pair map needs eps > 0")
-    return b, 2.0 * b - a + V.d1(b) / eps
-
-
-def conjugacy(a, b):
-    """The change of variables (x_{i-1}, x_i) -> (x_i, y_i)."""
-    return b, b - a
 
 
 @dataclass
@@ -75,17 +63,6 @@ class TwistOrbit:
         return float(max(np.max(rx), np.max(ry)))
 
 
-def fk_residual(V, eps, x):
-    """Frenkel-Kontorova residual per interior site of a 1-D configuration."""
-    if x.domain.d != 1:
-        raise ValueError("the relation is one-dimensional")
-    vals = x.values
-    if vals.size < 3:
-        raise ValueError("need at least three sites")
-    inner = vals[1:-1]
-    return V.d1(inner) - eps * (vals[2:] - 2.0 * inner + vals[:-2])
-
-
 @dataclass
 class CantorusResult:
     points: np.ndarray
@@ -109,11 +86,7 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     """
     if model.stencil.d != 1:
         raise ValueError("cantorus extraction is for one-dimensional chains")
-    cst = model.constants
-    if eps > cst.eps1 * (1.0 + 1e-12):
-        raise ContinuationRefused(
-            f"eps {eps:.3g} is beyond the convexity range eps1 = {cst.eps1:.3g}"
-        )
+    _refuse_coupling(model.constants, eps, "eps1")
     w = float(np.atleast_1d(check_irrational(omega))[0])
     n_samples = int(n_samples)
     if n_samples < 2:
@@ -125,20 +98,10 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     Bp = window.padded(r)
 
     # one genericity pass covering all members: the sampled arguments are
-    # s + w*(k + i) for members k and sites i
-    lo, hi = Bp.lo[0], Bp.hi[0]
-    all_args = w * np.arange(lo, hi + n_samples + 1)
-    bp = np.mod(label_hull.breakpoints, 1.0)
-    s = float(s0)
-    for _ in range(10000):
-        pos = np.mod(s + all_args, 1.0)
-        dmin = np.min(np.minimum(np.abs(pos[:, None] - bp[None, :]),
-                                 1.0 - np.abs(pos[:, None] - bp[None, :])))
-        if dmin > 1e-9:
-            break
-        s += GENERICITY_OFFSET
-    else:
-        raise ValueError("no generic base parameter found")
+    # s + w*(k + i) for members k and sites i, that is s + w*i over the
+    # padded window stretched by n_samples sites to the right
+    s = generic_parameter(label_hull, [w],
+                          Box(Bp.lo, (Bp.hi[0] + n_samples,)), s0)
 
     # member k's labels are phi(s_k + w*i), as sample_config would give
     # them; the site arguments w*i are computed once for all members

@@ -5,8 +5,7 @@ import lamlab
 from lamlab import (Box, CheckInconclusive, Configuration, GOLDEN_MEAN,
                     NotBirkhoff, check_birkhoff, check_comparison_principle,
                     check_minmax_inequality, meet_join, quasi_newton_continue,
-                    rotation_vector, sample_config, step_hull_from_simplex,
-                    translate)
+                    sample_config, step_hull_from_simplex, translate)
 from lamlab.birkhoff import TIE_TOL, OrderVerdict
 
 
@@ -168,30 +167,6 @@ def test_check_birkhoff_window_guard():
     x = Configuration(Box([0], [0]), [0.0])
     with pytest.raises(ValueError):
         check_birkhoff(x, 2)
-
-
-def test_rotation_vector_on_exact_staircase():
-    x = staircase(Box.centered(50, 1), [GOLDEN_MEAN])
-    omega, dev = rotation_vector(x)
-    assert omega[0] == pytest.approx(GOLDEN_MEAN, abs=0.02)
-    assert dev <= 1.0 + 1e-9
-
-
-def test_rotation_vector_trivial_cases():
-    B = Box.centered(10, 1)
-    const = Configuration(B, np.zeros(21))
-    omega, dev = rotation_vector(const)
-    assert omega[0] == pytest.approx(0.0, abs=1e-12) and dev < 1e-12
-    linear = Configuration(B, np.arange(-10.0, 11.0))
-    omega, _ = rotation_vector(linear)
-    assert omega[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotation_vector_rejects_wild_configurations():
-    rng = np.random.default_rng(2)
-    B = Box.centered(20, 1)
-    with pytest.raises(NotBirkhoff):
-        rotation_vector(Configuration(B, 5.0 * rng.normal(size=41)))
 
 
 def test_meet_join_identities():

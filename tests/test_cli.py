@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lamlab import (GOLDEN_MEAN, Box, generic_parameter,
                     quasi_newton_continue, residual_field, sample_config,
                     step_hull_from_simplex)
-from lamlab.cli import _solution_rows, main
+from lamlab.cli import _ALLOWED, _solution_rows, main
 
 BASE = {
     "model": {},
@@ -237,6 +239,41 @@ def test_cantorus_input_types_exit_1(tmp_path, capsys, change):
     ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": 5}),
     ("cantorus", {"mode": "momentum", "eps": 5e-4,
                   "coin_flip": {"seed": None}}),
+    # JSON true is not an integer, wherever one is expected
+    ("continue", {"seed": True}),
+    ("continue", {"window_radius": True}),
+    ("continue", {"k_max": True}),
+    ("continue", {"M1": True, "M2": 7}),
+    ("continue", {"M1": 2, "M2": True}),
+    ("continue", {"model": {"potential": {"kind": "n_well", "N": True}},
+                  "p": [1.0]}),
+    ("continue", {"model": {"stencil": {"kind": "harmonic", "d": True}}}),
+    ("lamination", {"n_samples": True}),
+    ("measure", {"n": True}),
+    ("cantorus", {"n_samples": True}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4,
+                  "coin_flip": {"seed": True}}),
+    # injectivity is absent, null, or an object with an optional spacing
+    ("measure", {"n": 4, "injectivity": True}),
+    ("measure", {"n": 4, "injectivity": float("nan")}),
+    ("measure", {"n": 4, "injectivity": [[0.5, 0.5]]}),
+    ("measure", {"n": 4, "injectivity": 0}),
+    ("measure", {"n": 4, "injectivity": {"spacing": 0.5, "points": []}}),
+    # unknown or mistyped keys inside the model
+    ("continue", {"model": {"stencil": {"kind": "harmonic", "d": 1,
+                                        "bogus": 3}}}),
+    ("continue", {"model": {"potential": {"kind": "n_well", "N": 2,
+                                          "bogus": 3}}}),
+    ("continue", {"model": {"potential": {
+        "kind": "table", "N": 2,
+        "samples": [0.3, 0.1, -0.2, -0.1, 0.05, 0.2, 0.4, 0.5]}},
+        "p": [1.0]}),
+    ("continue", {"model": {"stencil": {"kind": "harmonic",
+                                        "flip_sign": 1}}}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4,
+                  "coin_flip": {"seed": 1, "bias": 0.5}}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4,
+                  "labels": [True] + [0.0] * 18}),
 ])
 def test_non_finite_and_mistyped_numbers_exit_1(tmp_path, capsys, command,
                                                 change):
@@ -292,6 +329,96 @@ def test_measure_cli(tmp_path):
     lines = (out / "density.csv").read_text().splitlines()
     assert lines[0] == "n,p1,p2"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("inj,points", [
+    (None, None), ({}, 5), ({"spacing": 0.5}, 3),
+])
+def test_measure_injectivity_forms(tmp_path, inj, points):
+    body = dict(BASE, n=4, injectivity=inj)
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", write_spec(tmp_path, "m.json", body),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    if points is None:
+        assert "injectivity" not in summary
+        assert not (out / "injectivity.csv").exists()
+    else:
+        # an empty object runs the default 0.25 grid
+        assert len(summary["injectivity"]["grid"]) == points
+        rows = (out / "injectivity.csv").read_text().splitlines()
+        assert len(rows) == 1 + points * (points - 1) // 2
+
+
+@pytest.mark.parametrize("change", [
+    {"M1": 2.5, "M2": 7},
+    {"M1": 4},
+    {"M1": -1, "M2": 7},
+    {"M1": 4, "M2": 4},
+])
+def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
+                                                        change):
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", dict(BASE, **change))
+    exits_with_one_line(capsys, ["continue", "--spec", spec, "--out",
+                                 str(out)], 1)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("checks", [
+    {"gradient-consistency": [1e-3]},
+    {"gradient-consistency": True},
+    {"gradient-consistency": float("nan")},
+    {"no-such-check": 1e-3},
+])
+def test_verify_rejects_bad_overrides(tmp_path, capsys, checks):
+    spec = write_spec(tmp_path, "v.json", {"checks": checks})
+    exits_with_one_line(capsys, ["verify", "--spec", spec], 1)
+
+
+FUZZ_BASES = {
+    "continue": dict(BASE, window_radius=4, M1=1, M2=3),
+    "lamination": dict(BASE, window_radius=4, n_samples=2),
+    "measure": dict(BASE, window_radius=4, n=3, injectivity={"spacing": 0.5}),
+    "cantorus": dict(BASE, window_radius=4, n_samples=2),
+    "verify": {"model": {}, "seed": 1, "checks": {}},
+    "sweep": {"model": {}, "omega": "golden", "eps_values": ["eps1/2"],
+              "p": [0.3, 0.7], "window_radius": 4},
+}
+FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400, [],
+               [0.5, 0.5], {}, {"spacing": 0.5}, None, True, -1, 0, 2.5]
+FUZZ_KEYS = {cmd: sorted(_ALLOWED[cmd]) + [
+    "model.potential", "model.stencil", "model.K", "model.k",
+    "model.potential.N", "model.stencil.d", "model.stencil.flip_sign"]
+    for cmd in FUZZ_BASES}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FUZZ_BASES)).flatmap(
+    lambda cmd: st.tuples(st.just(cmd), st.sampled_from(FUZZ_KEYS[cmd]),
+                          st.sampled_from(FUZZ_VALUES))))
+def test_fuzzed_specs_exit_cleanly(tmp_path, capsys, case):
+    command, key, value = case
+    body = json.loads(json.dumps(FUZZ_BASES[command]))
+    *path, last = key.split(".")
+    target = body
+    for part in path:
+        kind = {"potential": "n_well", "stencil": "harmonic"}.get(part)
+        target = target.setdefault(part, {} if kind is None else
+                                   {"kind": kind})
+    target[last] = value
+    spec = write_spec(tmp_path, "f.json", body)
+    capsys.readouterr()
+    rc = main([command, "--spec", spec, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if err:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        # silent exits: success, or verify reporting a failed self-check
+        # on standard output
+        assert rc == 0 or (rc == 2 and command == "verify")
 
 
 def test_sweep_cli(tmp_path):

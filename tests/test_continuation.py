@@ -268,17 +268,6 @@ def test_continue_lamination_orders_members(model1, golden):
     assert np.allclose(lam.p, [0.3, 0.7])
 
 
-def test_continue_lamination_threading_is_deterministic(model1, golden):
-    eps = model1.constants.eps1 / 2.0
-    window = Box.centered(7, 1)
-    serial = continue_lamination(model1, eps, [0.5, 0.5], golden, window, 5)
-    pooled = continue_lamination(model1, eps, [0.5, 0.5], golden, window, 5,
-                                 workers=3)
-    assert serial.s_values == pooled.s_values
-    for a, b in zip(serial.members, pooled.members):
-        assert np.array_equal(a.solution.values, b.solution.values)
-
-
 def test_maximum_labels_break_order(model1, golden):
     eps = model1.constants.eps1 / 2.0
     window = Box.centered(32, 1)

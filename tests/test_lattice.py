@@ -84,18 +84,3 @@ def test_configuration_restrict_and_box_values():
     assert np.array_equal(y.values, vals[2:5, 2:5])
     y.values[0, 0] = -1.0
     assert x.values[2, 2] == 16.0  # restriction owns its values
-
-
-def test_configuration_osc_matches_direct_scan():
-    rng = np.random.default_rng(11)
-    B = Box.centered(4, 2)
-    x = Configuration(B, rng.normal(size=B.shape))
-    r = 2
-    sites = B.sites()
-    flat = x.values.ravel()
-    worst = 0.0
-    for i, si in enumerate(sites):
-        norms = np.sum(np.abs(sites - si), axis=1)
-        near = norms <= r
-        worst = max(worst, float(np.max(np.abs(flat[near] - flat[i]))))
-    assert x.osc(r) == pytest.approx(worst, abs=0.0)

@@ -10,7 +10,6 @@ from lamlab import (
     ContinuationRefused,
     UnclassifiableSite,
     generic_parameter,
-    integrate,
     measure_from_density,
     measure_from_hull,
     psi_epsilon,
@@ -143,15 +142,6 @@ def test_counting_survives_continuation(model1, golden):
     assert np.array_equal(before.masses, after.masses)
 
 
-def test_integrate_atoms_and_continuous():
-    f = lambda x: np.cos(2.0 * np.pi * x)
-    mu = CircleMeasure([0.0, 0.5], [0.3, 0.7])
-    assert integrate(mu, f) == pytest.approx(-0.4, abs=1e-15)
-    phi = step_hull_from_simplex([0.3, 0.7], WELLS)
-    nu = CircleMeasure([], [], continuous_part=phi)
-    assert integrate(nu, f) == pytest.approx(-0.4, abs=1e-15)
-
-
 def test_vague_distance_cases():
     d0 = CircleMeasure([0.0], [1.0])
     d5 = CircleMeasure([0.5], [1.0])
@@ -161,9 +151,6 @@ def test_vague_distance_cases():
     nu = CircleMeasure([0.0, 0.5], [0.5, 0.5])
     assert vague_distance(mu, nu) == pytest.approx(0.4, abs=1e-15)
     assert vague_distance(mu, nu) == vague_distance(nu, mu)
-    phi = step_hull_from_simplex([0.5, 0.5], WELLS)
-    with pytest.raises(ValueError):
-        vague_distance(mu, CircleMeasure([], [], continuous_part=phi))
 
 
 def test_psi_epsilon_recovers_simplex(model1, golden):

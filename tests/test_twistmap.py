@@ -14,10 +14,8 @@ from lamlab import (
     TwistOrbit,
     chaotic_momentum_orbit,
     extract_cantorus,
-    fk_residual,
-    conjugacy,
-    pair_step,
     quasi_newton_continue,
+    residual_field,
     sample_config,
     standard_map_step,
     step_hull_from_simplex,
@@ -41,22 +39,7 @@ def test_map_needs_positive_coupling(model1):
     with pytest.raises(ValueError):
         standard_map_step(V, 0.0, 0.1, 0.2)
     with pytest.raises(ValueError):
-        pair_step(V, -1e-3, 0.1, 0.2)
-
-
-def test_pair_step_conjugate_to_map(model1):
-    V = model1.potential
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-2, 2, 50)
-    b = rng.uniform(-2, 2, 50)
-    eps = 1e-3
-    # conjugacy intertwines the two formulations
-    x, y = conjugacy(a, b)
-    want = standard_map_step(V, eps, x, y)
-    na, nb = pair_step(V, eps, a, b)
-    got = conjugacy(na, nb)
-    assert np.allclose(got[0], want[0], atol=1e-12)
-    assert np.allclose(got[1], want[1], atol=1e-12)
+        standard_map_step(V, -1e-3, 0.1, 0.2)
 
 
 def test_twist_orbit_validation(model1):
@@ -77,33 +60,32 @@ def test_twist_orbit_validation(model1):
 
 
 def test_fk_residual_equals_map_residual(model1, golden):
+    V = model1.potential
     eps = model1.constants.eps1 / 2.0
     window = Box.centered(8, 1)
-    phi = step_hull_from_simplex([0.5, 0.5], model1.potential.minima)
+    phi = step_hull_from_simplex([0.5, 0.5], V.minima)
     x0 = sample_config(phi, golden, 0.37, window.padded(1))
     res = quasi_newton_continue(model1, eps, x0, window)
+    assert np.max(np.abs(residual_field(model1, eps, res.solution,
+                                        window))) <= 1e-12
 
-    fk = fk_residual(model1.potential, eps, res.solution)
-    # the relation holds on the free sites only; window edges are frozen
-    assert np.max(np.abs(fk[2:-2])) <= 1e-12
-    assert np.max(np.abs(fk)) > 1e-6
+    rng = np.random.default_rng(4)
+    bumped = Configuration(res.solution.domain, res.solution.values
+                           + rng.uniform(-1e-3, 1e-3, res.solution.values.size))
+    for x in (res.solution, bumped):
+        # on the free sites of a nearest-neighbour harmonic chain the
+        # window residual is the Frenkel-Kontorova residual
+        fk = residual_field(model1, eps, x, window)
+        vals = x.values
+        inner = vals[2:-2]
+        want = V.d1(inner) - eps * (vals[3:-1] - 2.0 * inner + vals[1:-3])
+        assert np.allclose(fk, want, rtol=0.0, atol=1e-15)
 
-    vals = res.solution.values
-    xs = vals[2:-1]
-    orbit = TwistOrbit(np.column_stack([xs, xs - vals[1:-2]]), eps)
-    # one map step off by exactly the site residual over eps
-    want = np.max(np.abs(fk[2:-2])) / eps
-    assert orbit.map_residual(model1.potential) == pytest.approx(
-        want, rel=1e-5, abs=1e-15)
-
-
-def test_fk_residual_guards(model1):
-    with pytest.raises(ValueError):
-        fk_residual(model1.potential, 1e-3,
-                    Configuration(Box.centered(2, 2), np.zeros((5, 5))))
-    with pytest.raises(ValueError):
-        fk_residual(model1.potential, 1e-3,
-                    Configuration(Box.centered(0, 1), np.zeros(1)))
+        xs = vals[2:-1]
+        orbit = TwistOrbit(np.column_stack([xs, xs - vals[1:-2]]), eps)
+        # one map step misses the next point by the site residual over eps
+        assert orbit.map_residual(V) == pytest.approx(
+            np.max(np.abs(fk)) / eps, rel=1e-5, abs=1e-15)
 
 
 def test_extract_cantorus_invariance(model1_single, golden):
