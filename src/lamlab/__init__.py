@@ -20,7 +20,7 @@ from .hull import (GOLDEN_MEAN, HullFunction, check_irrational, empirical_hull,
                    normalize_simplex, sample_config, step_hull_from_simplex)
 from .lattice import Box, Configuration, ball_offsets, l1_norms
 from .measure import (CircleMeasure, measure_from_density, measure_from_hull,
-                      psi_epsilon, vague_distance)
+                      psi_epsilon, vague_distance, vague_distance_table)
 from .model import (InteractionStencil, Model, ModelConstants,
                     Potential, build_model, builtin_harmonic_stencil,
                     builtin_n_well, estimate_constants, find_criticals,
@@ -50,5 +50,5 @@ __all__ = [
     "potential_from_table", "psi_epsilon", "quasi_newton_continue",
     "residual_field", "run_suite", "sample_config", "standard_map_step",
     "step_hull_from_simplex", "translate", "truncation_consistency",
-    "vague_distance",
+    "vague_distance", "vague_distance_table",
 ]

@@ -29,7 +29,7 @@ from .errors import (CheckInconclusive, ContinuationRefused,
 from .hull import (GOLDEN_MEAN, generic_parameter, sample_config,
                    step_hull_from_simplex)
 from .lattice import Box, Configuration
-from .measure import DEFAULT_DENSITY_RADIUS, psi_epsilon, vague_distance
+from .measure import DEFAULT_DENSITY_RADIUS, psi_epsilon, vague_distance_table
 from .model import (Model, InteractionStencil, builtin_harmonic_stencil,
                     builtin_n_well, estimate_constants, osc_bound,
                     potential_from_table)
@@ -439,23 +439,21 @@ def cmd_measure(spec, out, seed, threads, tol):
             grid.append(weights + [max(tail, 0.0)])
         measures = [psi_epsilon(model, eps, q, omega, window, n, tol=tol)
                     for q in grid]
-        pair_rows = []
-        min_margin = np.inf
-        for a in range(len(grid)):
-            for b in range(a + 1, len(grid)):
-                dist = vague_distance(measures[a], measures[b])
-                # left to right like np.sum on so few terms; sum() would
-                # compensate the rounding from Python 3.12 on
-                l1 = 0.0
-                for u, v in zip(grid[a], grid[b]):
-                    l1 += abs(u - v)
-                min_margin = min(min_margin, dist - l1)
-                pair_rows.append([str(a), str(b), repr(l1), repr(float(dist))])
+        dist = vague_distance_table(measures)
+        # the pairs and the left-to-right sum of vague_distance_table
+        a, b = np.triu_indices(len(grid), 1)
+        P = np.asarray(grid)
+        l1 = np.zeros(a.size)
+        for j in range(sig_n):
+            l1 += np.abs(P[a, j] - P[b, j])
         _write_csv(out / "injectivity.csv",
-                   ["a", "b", "l1", "vague_distance"], pair_rows)
+                   ["a", "b", "l1", "vague_distance"],
+                   zip(map(str, a.tolist()), map(str, b.tolist()),
+                       _reprs(l1), _reprs(dist)))
         summary["injectivity"] = {
             "grid": grid,
-            "min_margin": float(min_margin),
+            # a one-point grid has no pairs and no margin
+            "min_margin": float(np.min(dist - l1)) if a.size else None,
         }
 
     _write_json(out / "summary.json", summary)

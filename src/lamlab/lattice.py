@@ -144,9 +144,6 @@ class Configuration:
     def d(self):
         return self.domain.d
 
-    def value_at(self, site):
-        return float(self.values[self.domain.index(site)])
-
     def box_values(self, box):
         """Values on a sub-box, as an array of that box's shape."""
         return self.values[box.slice_in(self.domain)]

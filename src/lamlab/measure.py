@@ -6,9 +6,10 @@ plateau length. The same measure is recovered from any single sampled
 configuration by counting, over growing balls of lattice sites, how often
 the site value falls into the trust interval of each well. Since
 continuation never moves a site across its trust interval, the counting
-measure of a continued solution equals that of its label configuration
-exactly, which is what makes the simplex-to-measure map injective at
-finite coupling.
+measure of a continued solution equals the label frequency of its
+starting configuration by construction. An injectivity check of the
+simplex-to-measure map on a grid therefore tests how evenly the hull
+sample visits the plateaus, not the continuation.
 
 Vague convergence is metrized here by total variation on the atom set;
 in the operating regime every measure is supported on the finitely many
@@ -44,6 +45,8 @@ class CircleMeasure:
         masses = np.asarray(self.masses, dtype=float)
         if atoms.shape != masses.shape or atoms.ndim != 1:
             raise ValueError("atoms and masses must be matching 1d arrays")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(masses))):
+            raise ValueError("atoms and masses must be finite")
         if masses.size and float(np.min(masses)) < -ATOM_MERGE_TOL:
             raise ValueError("masses must be nonnegative")
         order = np.argsort(atoms, kind="stable")
@@ -151,6 +154,27 @@ def vague_distance(a, b):
             acc = signed[i]
     total += abs(acc)
     return float(total)
+
+
+def vague_distance_table(measures):
+    """``vague_distance`` of every pair a < b of measures on one atom array.
+
+    Pairs come in row-major order (``np.triu_indices(G, 1)``). On a
+    shared atom array the distance is the sum of |m_a[j] - m_b[j]| taken
+    left to right from 0.0, which is ``vague_distance``'s arithmetic bit
+    for bit. Measures on different atoms raise ``ValueError``.
+    """
+    if not measures:
+        return np.zeros(0)
+    atoms = measures[0].atoms
+    if any(not np.array_equal(mu.atoms, atoms) for mu in measures):
+        raise ValueError("measures do not share one atom array")
+    M = np.stack([mu.masses for mu in measures])
+    a, b = np.triu_indices(len(measures), 1)
+    dist = np.zeros(a.size)
+    for j in range(atoms.size):
+        dist += np.abs(M[a, j] - M[b, j])
+    return dist
 
 
 def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):

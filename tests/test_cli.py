@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lamlab import (GOLDEN_MEAN, Box, generic_parameter,
+from lamlab import (GOLDEN_MEAN, Box, generic_parameter, psi_epsilon,
                     quasi_newton_continue, residual_field, sample_config,
-                    step_hull_from_simplex)
+                    step_hull_from_simplex, vague_distance)
+from lamlab import cli
 from lamlab.cli import _ALLOWED, _solution_rows, main
 
 BASE = {
@@ -348,6 +349,60 @@ def test_measure_injectivity_forms(tmp_path, inj, points):
         assert len(summary["injectivity"]["grid"]) == points
         rows = (out / "injectivity.csv").read_text().splitlines()
         assert len(rows) == 1 + points * (points - 1) // 2
+
+
+def per_pair_injectivity(grid, measures):
+    # reference: the one-call-per-pair loop the column-wise table replaced
+    pair_rows = []
+    min_margin = np.inf
+    for a in range(len(grid)):
+        for b in range(a + 1, len(grid)):
+            dist = vague_distance(measures[a], measures[b])
+            l1 = 0.0
+            for u, v in zip(grid[a], grid[b]):
+                l1 += abs(u - v)
+            min_margin = min(min_margin, dist - l1)
+            pair_rows.append([str(a), str(b), repr(l1), repr(float(dist))])
+    lines = ["a,b,l1,vague_distance", *map(",".join, pair_rows)]
+    return ("\n".join(lines) + "\n").encode(), float(min_margin)
+
+
+@pytest.mark.parametrize("wells,spacing", [(2, 0.25), (3, 0.25), (3, 0.3)])
+def test_injectivity_table_matches_per_pair_loop(tmp_path, monkeypatch,
+                                                 wells, spacing):
+    measures = []
+
+    def recording(*args, **kwargs):
+        measures.append(psi_epsilon(*args, **kwargs))
+        return measures[-1]
+
+    monkeypatch.setattr(cli, "psi_epsilon", recording)
+    body = dict(BASE, model={"potential": {"kind": "n_well", "N": wells}},
+                p=[1.0 / wells] * wells, n=4,
+                injectivity={"spacing": spacing})
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", write_spec(tmp_path, "m.json", body),
+                 "--out", str(out)]) == 0
+    grid = json.loads((out / "summary.json").read_text())["injectivity"]
+    # the first call is the spec's own p
+    csv, margin = per_pair_injectivity(grid["grid"], measures[1:])
+    assert (out / "injectivity.csv").read_bytes() == csv
+    assert grid["min_margin"] == margin
+
+
+def test_one_point_injectivity_grid_writes_strict_json(tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    body = dict(BASE, model={"potential": {"kind": "n_well", "N": 1}},
+                p=[1.0], n=4, injectivity={"spacing": 0.5})
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", write_spec(tmp_path, "m.json", body),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=refuse)
+    assert summary["injectivity"] == {"grid": [[1.0]], "min_margin": None}
+    assert (out / "injectivity.csv").read_text() == "a,b,l1,vague_distance\n"
 
 
 @pytest.mark.parametrize("change", [

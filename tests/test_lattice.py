@@ -70,7 +70,7 @@ def test_configuration_shape_and_finite_checks():
     with pytest.raises(ValueError):
         Configuration(B, [0.0, 1.0, np.nan, 0.0, 1.0])
     x = Configuration(B, np.arange(5.0))
-    assert x.value_at([-2]) == 0.0 and x.value_at([2]) == 4.0
+    assert np.array_equal(x.values, np.arange(5.0))
 
 
 def test_configuration_restrict_and_box_values():

@@ -9,6 +9,9 @@ from lamlab import (
     Configuration,
     ContinuationRefused,
     UnclassifiableSite,
+    build_model,
+    builtin_harmonic_stencil,
+    builtin_n_well,
     generic_parameter,
     measure_from_density,
     measure_from_hull,
@@ -17,6 +20,7 @@ from lamlab import (
     sample_config,
     step_hull_from_simplex,
     vague_distance,
+    vague_distance_table,
 )
 
 WELLS = np.asarray([0.0, 0.5])
@@ -49,6 +53,11 @@ def test_measure_validation():
         CircleMeasure([0.1, 0.2], [-0.5, 1.5])
     with pytest.raises(ValueError):
         CircleMeasure([0.1, 0.2], [0.3, 0.3])
+    # NaN slips past the sign and total-mass checks
+    with pytest.raises(ValueError):
+        CircleMeasure([0.1], [np.nan])
+    with pytest.raises(ValueError):
+        CircleMeasure([np.nan, 0.2], [0.5, 0.5])
 
 
 def test_measure_from_hull_masses():
@@ -151,6 +160,48 @@ def test_vague_distance_cases():
     nu = CircleMeasure([0.0, 0.5], [0.5, 0.5])
     assert vague_distance(mu, nu) == pytest.approx(0.4, abs=1e-15)
     assert vague_distance(mu, nu) == vague_distance(nu, mu)
+
+
+def assert_table_matches_pairs(measures):
+    table = vague_distance_table(measures)
+    a, b = np.triu_indices(len(measures), 1)
+    assert table.shape == a.shape
+    for k in range(a.size):
+        assert table[k] == vague_distance(measures[a[k]], measures[b[k]])
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_vague_distance_table_matches_pairs(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    atoms = np.sort(rng.random(n_atoms))
+    masses = rng.random((12, n_atoms))
+    if n_atoms > 1:
+        masses[3:6, rng.integers(n_atoms)] = 0.0
+    measures = [CircleMeasure(atoms, m / np.sum(m)) for m in masses]
+    measures.append(CircleMeasure(atoms, np.eye(n_atoms)[0]))
+    measures.append(CircleMeasure(atoms, np.eye(n_atoms)[-1]))
+    assert_table_matches_pairs(measures)
+    assert vague_distance_table(measures[:1]).shape == (0,)
+
+
+def test_vague_distance_table_of_psi_epsilon(golden):
+    model3 = build_model(builtin_n_well(3), builtin_harmonic_stencil(1),
+                         omega=golden)
+    eps = model3.constants.eps1 / 2.0
+    window = Box.centered(40, 1)
+    grid = [[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.25, 0.75],
+            [0.6, 0.0, 0.4], [0.15, 0.7, 0.15], [0.0, 0.0, 1.0]]
+    measures = [psi_epsilon(model3, eps, p, golden, window, n=40)
+                for p in grid]
+    assert_table_matches_pairs(measures)
+
+
+def test_vague_distance_table_needs_one_atom_array():
+    mu = CircleMeasure([0.0, 0.5], [0.3, 0.7])
+    with pytest.raises(ValueError):
+        vague_distance_table([mu, CircleMeasure([0.0, 0.25], [0.3, 0.7])])
+    with pytest.raises(ValueError):
+        vague_distance_table([mu, CircleMeasure([0.0], [1.0])])
 
 
 def test_psi_epsilon_recovers_simplex(model1, golden):

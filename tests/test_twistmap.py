@@ -104,18 +104,20 @@ def test_extract_cantorus_invariance(model1_single, golden):
 
 def per_member_cantorus(model, eps, phi, omega, window, n_samples, s,
                         newton_tol=1e-12):
-    # reference: one sample_config call and value_at lookup per member,
-    # from the generic base parameter s
+    # reference: one sample_config call and one lookup of sites 0 and -1
+    # per member, from the generic base parameter s
     w = float(omega[0])
     Bp = window.padded(model.stencil.range)
+    i0 = -int(Bp.lo[0])
     s_values = s + w * np.arange(n_samples + 1)
     x0s = np.empty(n_samples + 1)
     xm1s = np.empty(n_samples + 1)
     for k in range(n_samples + 1):
         sample = sample_config(phi, [w], s_values[k], Bp)
         res = quasi_newton_continue(model, eps, sample, window, tol=newton_tol)
-        x0s[k] = res.solution.value_at((0,))
-        xm1s[k] = res.solution.value_at((-1,))
+        assert res.solution.domain == Bp
+        x0s[k] = res.solution.values[i0]
+        xm1s[k] = res.solution.values[i0 - 1]
     ys = x0s - xm1s
     nx, ny = standard_map_step(model.potential, eps, x0s[:-1], ys[:-1])
     errs = np.maximum(np.abs(nx - x0s[1:]), np.abs(ny - ys[1:]))
