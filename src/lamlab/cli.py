@@ -20,19 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from .birkhoff import check_birkhoff
-from .continuation import (continue_lamination, quasi_newton_continue,
-                           residual_field, truncation_consistency)
+from .continuation import (LABEL_TOL, continue_lamination,
+                           quasi_newton_continue, residual_field,
+                           truncation_consistency)
 from .errors import (CheckInconclusive, ContinuationRefused,
-                     ContractionEscape, LaminationBroken, ModelInvalid,
+                     ContractionEscape, LaminationBroken, LamlabError,
                      NoConvergence, NotBirkhoff, SchemaError,
                      UnclassifiableSite)
-from .hull import (GOLDEN_MEAN, generic_parameter, sample_config,
-                   step_hull_from_simplex)
-from .lattice import Box, Configuration
+from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
+                   sample_config, step_hull_from_simplex)
+from .lattice import Box
 from .measure import DEFAULT_DENSITY_RADIUS, psi_epsilon, vague_distance_table
-from .model import (Model, InteractionStencil, builtin_harmonic_stencil,
-                    builtin_n_well, estimate_constants, osc_bound,
-                    potential_from_table)
+from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
+                    builtin_n_well, potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
 from .verification import CHECKS, run_suite
 
@@ -40,6 +40,9 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_REFUSED = 2
 EXIT_NO_CONVERGENCE = 3
+# errors that exit 2; NoConvergence exits 3 and every other error 1
+_REFUSALS = (ContinuationRefused, ContractionEscape, LaminationBroken,
+             NotBirkhoff, CheckInconclusive, UnclassifiableSite)
 
 OMEGA_NAMES = {
     "golden": GOLDEN_MEAN,
@@ -128,13 +131,10 @@ def _integer(v, what, least=None):
     raise SchemaError(f"{what} must be an integer{bound}")
 
 
-def _model_from_spec(spec, omega=None):
-    """Build the model of ``spec.model`` once.
-
-    ``omega`` is the raw spec entry, or None; it is parsed against the
-    stencil dimension and sets the oscillation bound K unless the model
-    gives one. Returns the model and the parsed omega.
-    """
+def _model_parts(spec):
+    """Potential, stencil, oscillation bound K and contraction parameter k
+    of ``spec.model``. K is None unless the model gives one; the caller
+    sizes it for its omega or its labels."""
     mspec = spec.get("model")
     if not isinstance(mspec, dict):
         raise SchemaError("spec.model must be an object")
@@ -163,8 +163,6 @@ def _model_from_spec(spec, omega=None):
     flip_sign = sspec.get("flip_sign", False)
     if not isinstance(flip_sign, bool):
         raise SchemaError("stencil flip_sign must be true or false")
-    if omega is not None:
-        omega = _parse_omega(omega, d)
     stencil = builtin_harmonic_stencil(d)
     if flip_sign:
         base = stencil
@@ -175,17 +173,9 @@ def _model_from_spec(spec, omega=None):
             lambda w: -base.hessian(w),
             validate=False,
         )
-
     K = mspec.get("K")
-    if K is None:
-        if omega is None:
-            K = osc_bound([GOLDEN_MEAN] * d, stencil.range)
-        else:
-            K = osc_bound(omega, stencil.range)
-    k = _finite(mspec.get("k", 0.5), "model.k")
-    constants = estimate_constants(potential, stencil, _finite(K, "model.K"),
-                                   k=k)
-    return Model(potential, stencil, constants), omega
+    K = None if K is None else _finite(K, "model.K")
+    return potential, stencil, K, _finite(mspec.get("k", 0.5), "model.k")
 
 
 def _parse_omega(raw, d):
@@ -202,7 +192,7 @@ def _parse_omega(raw, d):
         omega = [one(raw)]
     if len(omega) != d:
         raise SchemaError(f"omega has {len(omega)} components, model is {d}-dimensional")
-    return np.asarray(omega)
+    return check_irrational(omega)
 
 
 def _parse_eps(raw, constants):
@@ -227,14 +217,10 @@ def _parse_eps(raw, constants):
     return val
 
 
-def _parse_window(spec, model, default=None):
+def _parse_window(spec, stencil, default=None):
     radius = _integer(spec.get("window_radius", default), "window_radius",
-                      model.stencil.range + 1)
-    return Box.centered(radius, model.stencil.d)
-
-
-def _parse_k_max(spec):
-    return _integer(spec.get("k_max", 2), "k_max", 0)
+                      stencil.range + 1)
+    return Box.centered(radius, stencil.d)
 
 
 def _parse_weights(p, n):
@@ -244,8 +230,37 @@ def _parse_weights(p, n):
     return [_finite(v, "every entry of p") for v in p]
 
 
-def _parse_simplex(spec, model):
-    return _parse_weights(spec.get("p"), model.potential.minima.size)
+def _setup(spec, radius=None):
+    """Model, omega, coupling and window of a spec command, parsed once.
+
+    The coupling is ``eps``, or the list ``eps_values`` for ``sweep``;
+    ``radius(d)`` is the window radius in dimension d if the spec has none.
+    Returns them and the manifest entries they fill."""
+    potential, stencil, K, k = _model_parts(spec)
+    omega = _parse_omega(spec["omega"], stencil.d)
+    model = build_model(potential, stencil, K, k, omega=omega)
+    if "eps_values" in spec:
+        key, eps = "eps_values", spec["eps_values"]
+        if not isinstance(eps, list) or not eps:
+            raise SchemaError("eps_values must be a nonempty list")
+        eps = [_parse_eps(v, model.constants) for v in eps]
+    else:
+        key, eps = "eps", _parse_eps(spec["eps"], model.constants)
+    window = _parse_window(spec, stencil, radius and radius(stencil.d))
+    effective = {"omega": [float(w) for w in omega], key: eps,
+                 "window_radius": int(window.hi[0])}
+    return model, omega, eps, window, effective
+
+
+def _hull_start(spec, model, omega, window):
+    """Weights p, step hull, parameter s and sampled labels of a run that
+    continues one hull sample; s is generic unless the spec gives it."""
+    p = _parse_weights(spec.get("p"), model.potential.minima.size)
+    phi = step_hull_from_simplex(p, model.potential.minima)
+    Bp = window.padded(model.stencil.range)
+    s = spec.get("s")
+    s = generic_parameter(phi, omega, Bp, 0.5) if s is None else _finite(s, "s")
+    return p, phi, s, sample_config(phi, omega, s, Bp)
 
 
 def _write_json(path, obj):
@@ -299,31 +314,17 @@ def _solution_rows(model, eps, window, labels, result):
 
 
 def cmd_continue(spec, out, seed, threads, tol):
-    model, omega = _model_from_spec(spec, spec["omega"])
-    eps = _parse_eps(spec["eps"], model.constants)
-    window = _parse_window(spec, model)
-    p = _parse_simplex(spec, model)
-    phi = step_hull_from_simplex(p, model.potential.minima)
-    Bp = window.padded(model.stencil.range)
-    s = spec.get("s")
-    if s is None:
-        s = generic_parameter(phi, omega, Bp, 0.5)
-    else:
-        s = _finite(s, "s")
-    k_max = _parse_k_max(spec)
+    model, omega, eps, window, effective = _setup(spec)
+    p, phi, s, x0 = _hull_start(spec, model, omega, window)
+    k_max = _integer(spec.get("k_max", 2), "k_max", 0)
     M1, M2 = spec.get("M1"), spec.get("M2")
     probe = M1 is not None or M2 is not None
     if probe:
         M1 = _integer(M1, "M1", 0)
         M2 = _integer(M2, "M2", M1 + model.stencil.range)
-    effective = {
-        "omega": [float(w) for w in omega], "eps": eps, "p": p, "s": s,
-        "window_radius": int(window.hi[0]), "k_max": k_max,
-        "M1": M1, "M2": M2,
-    }
+    effective.update(p=p, s=s, k_max=k_max, M1=M1, M2=M2)
     _manifest(out, "continue", effective, model, seed, tol)
 
-    x0 = sample_config(phi, omega, s, Bp)
     result = quasi_newton_continue(model, eps, x0, window, tol=tol)
     scan = window.interior(3 * model.stencil.range)
     verdict = check_birkhoff(result.solution.restrict(scan), k_max)
@@ -345,23 +346,24 @@ def cmd_continue(spec, out, seed, threads, tol):
 
     _write_csv(out / "solution.csv",
                _site_header(window.d) + ["x0", "x", "residual"],
-               _solution_rows(model, eps, window, x0.restrict(Bp), result))
+               _solution_rows(model, eps, window, x0, result))
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
+def _order(diff):
+    """Order of one member against another from their difference, up to
+    LABEL_TOL: "0" equal, "1" above, "-1" below, "x" crossing."""
+    below, above = np.min(diff) < -LABEL_TOL, np.max(diff) > LABEL_TOL
+    return "x" if below and above else "-1" if below else "1" if above else "0"
+
+
 def cmd_lamination(spec, out, seed, threads, tol):
-    model, omega = _model_from_spec(spec, spec["omega"])
-    eps = _parse_eps(spec["eps"], model.constants)
-    window = _parse_window(spec, model)
-    p = _parse_simplex(spec, model)
+    model, omega, eps, window, effective = _setup(spec)
+    p = _parse_weights(spec.get("p"), model.potential.minima.size)
     n_samples = _integer(spec.get("n_samples"), "n_samples", 1)
-    k_max = _parse_k_max(spec)
-    effective = {
-        "omega": [float(w) for w in omega], "eps": eps, "p": p,
-        "window_radius": int(window.hi[0]), "n_samples": n_samples,
-        "k_max": k_max,
-    }
+    k_max = _integer(spec.get("k_max", 2), "k_max", 0)
+    effective.update(p=p, n_samples=n_samples, k_max=k_max)
     _manifest(out, "lamination", effective, model, seed, tol)
 
     lam = continue_lamination(model, eps, p, omega, window, n_samples,
@@ -370,27 +372,13 @@ def cmd_lamination(spec, out, seed, threads, tol):
         rows = _solution_rows(model, eps, window, member.labels, member)
         _write_csv(out / f"member_{j:03d}.csv",
                    _site_header(window.d) + ["x0", "x", "residual"], rows)
-    n = len(lam.members)
-    matrix = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            diff = lam.members[b].solution.values - lam.members[a].solution.values
-            lo, hi = float(np.min(diff)), float(np.max(diff))
-            if hi <= 1e-9 and lo >= -1e-9:
-                row.append("0")
-            elif lo >= -1e-9:
-                row.append("1")
-            elif hi <= 1e-9:
-                row.append("-1")
-            else:
-                row.append("x")
-        matrix.append(row)
+    xs = [x.values for x in lam.configurations]
+    matrix = [[_order(b - a) for b in xs] for a in xs]
     _write_csv(out / "ordering_matrix.csv",
-               [f"m{b}" for b in range(n)], matrix)
+               [f"m{b}" for b in range(len(xs))], matrix)
     _write_json(out / "summary.json", {
         "eps": eps,
-        "members": n,
+        "members": len(xs),
         "s_values": [float(s) for s in lam.s_values],
         "ordered": all(c != "x" for row in matrix for c in row),
     })
@@ -398,12 +386,16 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
-    model, omega = _model_from_spec(spec, spec["omega"])
-    eps = _parse_eps(spec["eps"], model.constants)
-    d = model.stencil.d
-    n = _integer(spec.get("n", DEFAULT_DENSITY_RADIUS.get(d)), "n", 1)
-    window = _parse_window(spec, model, default=n)
-    p = _parse_simplex(spec, model)
+    def raw_n(d):
+        return spec.get("n", DEFAULT_DENSITY_RADIUS.get(d))
+
+    model, omega, eps, window, effective = _setup(spec, raw_n)
+    n = _integer(raw_n(model.stencil.d), "n", 1)
+    r = model.stencil.range
+    if n > effective["window_radius"] + r:
+        raise SchemaError(f"n must be at most window_radius + {r}, the "
+                          "radius the continued configuration covers")
+    p = _parse_weights(spec.get("p"), model.potential.minima.size)
     inj = spec.get("injectivity")
     if inj is not None:
         if not isinstance(inj, dict):
@@ -412,10 +404,7 @@ def cmd_measure(spec, out, seed, threads, tol):
         spacing = _finite(inj.get("spacing", 0.25), "injectivity spacing")
         if not 0.0 < spacing <= 1.0:
             raise SchemaError("injectivity spacing must lie in (0, 1]")
-    effective = {
-        "omega": [float(w) for w in omega], "eps": eps, "p": p, "n": n,
-        "window_radius": int(window.hi[0]), "injectivity": inj,
-    }
+    effective.update(p=p, n=n, injectivity=inj)
     _manifest(out, "measure", effective, model, seed, tol)
 
     mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
@@ -463,15 +452,12 @@ def cmd_measure(spec, out, seed, threads, tol):
 def cmd_cantorus(spec, out, seed, threads, tol):
     mode = spec.get("mode", "cantorus")
     if mode == "momentum":
-        model, _ = _model_from_spec(spec)
-        return _cmd_momentum(spec, out, model, seed, threads, tol)
+        return _cmd_momentum(spec, out, seed, tol)
     if mode != "cantorus":
         raise SchemaError(f"unknown cantorus mode {mode!r}")
     if spec.get("omega") is None:
         raise SchemaError("cantorus mode needs omega")
-    model, omega = _model_from_spec(spec, spec["omega"])
-    eps = _parse_eps(spec["eps"], model.constants)
-    window = _parse_window(spec, model, default=16)
+    model, omega, eps, window, effective = _setup(spec, lambda d: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     wells = spec.get("wells", "minima")
     if wells == "minima":
@@ -485,11 +471,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     _parse_weights(p, sigma.size)
     s0 = spec.get("s0", 0.5)
     _finite(s0, "s0")
-    effective = {
-        "omega": [float(w) for w in omega], "eps": eps, "p": p,
-        "wells": wells, "window_radius": int(window.hi[0]),
-        "n_samples": n_samples, "s0": s0,
-    }
+    effective.update(p=p, wells=wells, n_samples=n_samples, s0=s0)
     _manifest(out, "cantorus", effective, model, seed, tol)
 
     hull = step_hull_from_simplex(p, sigma)
@@ -508,10 +490,12 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     return EXIT_OK
 
 
-def _cmd_momentum(spec, out, model, seed, threads, tol):
-    eps = _parse_eps(spec["eps"], model.constants)
-    window = _parse_window(spec, model, default=32)
-    Bp = window.padded(1)
+def _cmd_momentum(spec, out, seed, tol):
+    potential, stencil, K, k = _model_parts(spec)
+    if stencil.d != 1:
+        raise SchemaError("momentum mode needs a one-dimensional stencil")
+    window = _parse_window(spec, stencil, 32)
+    Bp = window.padded(stencil.range)
     if "labels" in spec:
         labels = spec["labels"]
         if not isinstance(labels, list) or len(labels) != Bp.size:
@@ -527,13 +511,16 @@ def _cmd_momentum(spec, out, model, seed, threads, tol):
         labels = rng.integers(0, 2, Bp.size).astype(float)
     else:
         raise SchemaError("momentum mode needs labels or coin_flip")
-    effective = {
-        "eps": eps, "window_radius": int(window.hi[0]),
-        "labels": [float(v) for v in labels],
-    }
+    # unless the model gives K, the envelope is sized for the label spread
+    if K is None:
+        K = float(np.max(np.abs(np.diff(labels)))) + 2.0
+    model = build_model(potential, stencil, K, k)
+    eps = _parse_eps(spec["eps"], model.constants)
+    effective = {"eps": eps, "window_radius": int(window.hi[0]),
+                 "labels": [float(v) for v in labels]}
     _manifest(out, "cantorus", effective, model, seed, tol)
 
-    orbit = chaotic_momentum_orbit(model.potential, eps, labels, window,
+    orbit = chaotic_momentum_orbit(model, eps, labels, window,
                                    newton_tol=tol)
     _write_csv(out / "orbit.csv", ["i", "x", "y"],
                zip(map(str, range(orbit.points.shape[0])),
@@ -557,7 +544,9 @@ def cmd_verify(spec, out, seed, threads, tol):
         for name, value in overrides.items():
             _finite(value, f"the tolerance of {name}")
         if "model" in spec:
-            model, _ = _model_from_spec(spec)
+            potential, stencil, K, k = _model_parts(spec)
+            model = build_model(potential, stencil, K, k,
+                                omega=[GOLDEN_MEAN] * stencil.d)
     rows = run_suite(model, seed=seed, overrides=overrides)
     width = max(len(r.name) for r in rows)
     for r in rows:
@@ -572,23 +561,10 @@ def cmd_verify(spec, out, seed, threads, tol):
 
 
 def cmd_sweep(spec, out, seed, threads, tol):
-    model, omega = _model_from_spec(spec, spec["omega"])
-    eps_values = spec.get("eps_values")
-    if not isinstance(eps_values, list) or not eps_values:
-        raise SchemaError("eps_values must be a nonempty list")
-    eps_list = [_parse_eps(v, model.constants) for v in eps_values]
-    window = _parse_window(spec, model)
-    p = _parse_simplex(spec, model)
-    phi = step_hull_from_simplex(p, model.potential.minima)
-    Bp = window.padded(model.stencil.range)
-    s = generic_parameter(phi, omega, Bp, 0.5)
-    effective = {
-        "omega": [float(w) for w in omega], "eps_values": eps_list, "p": p,
-        "s": s, "window_radius": int(window.hi[0]),
-    }
+    model, omega, eps_list, window, effective = _setup(spec)
+    p, _, s, x0 = _hull_start(spec, model, omega, window)
+    effective.update(p=p, s=s)
     _manifest(out, "sweep", effective, model, seed, tol)
-
-    x0 = sample_config(phi, omega, s, Bp)
 
     def run(eps):
         return quasi_newton_continue(model, eps, x0, window, tol=tol)
@@ -662,22 +638,11 @@ def main(argv=None):
         elif args.command != "verify":
             raise SchemaError("this command needs --out <dir>")
         return _COMMANDS[args.command](spec, out, seed, threads, args.tol)
-    except SchemaError as exc:
+    except (LamlabError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (ModelInvalid, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (ContinuationRefused, ContractionEscape, LaminationBroken,
-            NotBirkhoff, CheckInconclusive, UnclassifiableSite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        if isinstance(exc, NoConvergence):
+            return EXIT_NO_CONVERGENCE
+        return EXIT_REFUSED if isinstance(exc, _REFUSALS) else EXIT_SCHEMA
 
 
 if __name__ == "__main__":

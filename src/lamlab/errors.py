@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: schema and I/O problems
-exit 1, refusals and trust-ball escapes exit 2, iteration budget overruns
+The CLI maps these onto its exit-code contract: schema, model and I/O
+problems (SchemaError, ModelInvalid) exit 1; refusals, trust-ball escapes,
+broken order and inconclusive checks (ContinuationRefused,
+ContractionEscape, NotBirkhoff, LaminationBroken, CheckInconclusive,
+UnclassifiableSite) exit 2; iteration budget overruns (NoConvergence)
 exit 3.
 """
 

@@ -40,7 +40,8 @@ def check_irrational(omega, max_denominator=RESONANCE_DENOMINATOR, tol=RESONANCE
         fr = Fraction(float(w)).limit_denominator(max_denominator)
         if abs(fr.denominator * float(w) - fr.numerator) <= tol:
             raise ValueError(
-                f"rotation component {w!r} is within {tol} of {fr.numerator}/{fr.denominator}"
+                f"rotation component {float(w)!r} is within {tol} of "
+                f"{fr.numerator}/{fr.denominator}"
             )
     return omega
 

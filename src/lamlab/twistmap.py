@@ -25,7 +25,6 @@ from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import CheckInconclusive
 from .hull import check_irrational, generic_parameter
 from .lattice import Box, Configuration
-from .model import Model, builtin_harmonic_stencil, estimate_constants
 
 
 def standard_map_step(V, eps, x, y):
@@ -130,18 +129,20 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
                           float(np.mean(ys[:n_samples])), eps)
 
 
-def chaotic_momentum_orbit(V, eps, labels, window, tol=1e-8, newton_tol=1e-12):
+def chaotic_momentum_orbit(model, eps, labels, window, tol=1e-8,
+                           newton_tol=1e-12):
     """Continue a bounded critical label sequence and package the orbit.
 
-    The harmonic chain turns each continued equilibrium into a map orbit;
-    the envelope is estimated for the label spread at hand, so wilder
-    label sequences simply get a smaller certified coupling range.
+    ``model`` must be a one-dimensional harmonic chain, which turns each
+    continued equilibrium into a map orbit. Its envelope must cover the
+    label spread: an oscillation bound K of at least the largest label
+    step plus 2 (the CLI's default), so wilder label sequences get a
+    smaller certified coupling range.
     """
-    if window.d != 1:
+    if model.stencil.d != 1 or window.d != 1:
         raise ValueError("orbits are one-dimensional")
     if eps <= 0.0:
         raise ValueError("the map needs eps > 0")
-    stencil = builtin_harmonic_stencil(1)
     Bp = window.padded(1)
     if isinstance(labels, Configuration):
         config = labels
@@ -152,9 +153,6 @@ def chaotic_momentum_orbit(V, eps, labels, window, tol=1e-8, newton_tol=1e-12):
                 f"need {Bp.size} label values to cover the window collar"
             )
         config = Configuration(Bp, arr)
-    spread = float(np.max(np.abs(np.diff(config.values.ravel())))) if config.values.size > 1 else 0.0
-    K = spread + 2.0
-    model = Model(V, stencil, estimate_constants(V, stencil, K))
     res = quasi_newton_continue(model, eps, config, window, tol=newton_tol)
 
     # emit points only where the map step is backed by the equilibrium
@@ -164,7 +162,7 @@ def chaotic_momentum_orbit(V, eps, labels, window, tol=1e-8, newton_tol=1e-12):
     xs = vals[2:-1]
     ys = xs - vals[1:-2]
     orbit = TwistOrbit(np.column_stack([xs, ys]), eps)
-    resid = orbit.map_residual(V)
+    resid = orbit.map_residual(model.potential)
     if resid > tol:
         raise CheckInconclusive(
             f"continued orbit violates the map by {resid:.3g} (tol {tol:.1e})"

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lamlab import (GOLDEN_MEAN, Box, generic_parameter, psi_epsilon,
-                    quasi_newton_continue, residual_field, sample_config,
-                    step_hull_from_simplex, vague_distance)
-from lamlab import cli
-from lamlab.cli import _ALLOWED, _solution_rows, main
+from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
+                    builtin_n_well, chaotic_momentum_orbit, generic_parameter,
+                    psi_epsilon, quasi_newton_continue, residual_field,
+                    sample_config, step_hull_from_simplex, vague_distance)
+from lamlab import cli, errors
+from lamlab.cli import _ALLOWED, _order, _solution_rows, main
+from lamlab.continuation import LABEL_TOL
 
 BASE = {
     "model": {},
@@ -168,6 +170,34 @@ def test_momentum_coin_flip(tmp_path):
     assert read_dir(a) == read_dir(b)
 
 
+MOMENTUM = {"model": {}, "mode": "momentum", "eps": 5e-4, "window_radius": 8,
+            "coin_flip": {"seed": 1}}
+
+
+@pytest.mark.parametrize("mspec", [{}, {"K": 4.0, "k": 0.25}])
+def test_momentum_continues_with_the_manifest_model(tmp_path, mspec):
+    # eps0 is resolved against the model the orbit is continued with, so
+    # the coupling the manifest records is never refused
+    spec = write_spec(tmp_path, "m.json",
+                      dict(MOMENTUM, model=mspec, eps="eps0"))
+    out = tmp_path / "o"
+    assert main(["cantorus", "--spec", spec, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    labels = np.asarray(manifest["parameters"]["labels"])
+    constants = manifest["constants"]
+    assert manifest["parameters"]["eps"] == constants["eps0"]
+    # without model.K the envelope is sized for the label spread
+    K = mspec.get("K", float(np.max(np.abs(np.diff(labels)))) + 2.0)
+    model = build_model(builtin_n_well(2), builtin_harmonic_stencil(1), K=K,
+                        k=mspec.get("k", 0.5))
+    assert constants == model.constants.as_dict()
+    orbit = chaotic_momentum_orbit(model, constants["eps0"], labels,
+                                   Box.centered(8, 1))
+    rows = (out / "orbit.csv").read_text().splitlines()[1:]
+    assert rows == [f"{i},{x!r},{y!r}"
+                    for i, (x, y) in enumerate(orbit.points.tolist())]
+
+
 def test_cantorus_cli(tmp_path):
     spec = write_spec(tmp_path, "c.json", {
         "model": {"potential": {"kind": "n_well", "N": 1}},
@@ -197,6 +227,7 @@ def exits_with_one_line(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("change", [
@@ -418,6 +449,119 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     exits_with_one_line(capsys, ["continue", "--spec", spec, "--out",
                                  str(out)], 1)
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,change", [
+    ("continue", {"omega": 0.5}),
+    ("lamination", {"omega": 0.5, "n_samples": 2}),
+    ("measure", {"omega": 0.5, "n": 4}),
+    ("cantorus", {"omega": 0.5}),
+    ("sweep", {"omega": 0.5}),
+    # the solution covers the window and its collar of one site
+    ("measure", {"n": 10}),
+    # the default n of a 1-d chain is 377
+    ("measure", {}),
+    ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": {},
+                  "model": {"stencil": {"kind": "harmonic", "d": 2}}}),
+])
+def test_refused_before_the_manifest(tmp_path, capsys, command, change):
+    body = {k: v for k, v in dict(BASE, **change).items() if v is not None}
+    if command == "sweep":
+        body["eps_values"] = [body.pop("eps")]
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", body)
+    err = exits_with_one_line(
+        capsys, [command, "--spec", spec, "--out", str(out)], 1)
+    assert not (out / "manifest.json").exists()
+    assert "np.float64" not in err
+    if change.get("omega") == 0.5:
+        assert err == "error: rotation component 0.5 is within 1e-09 of 1/2\n"
+
+
+def test_largest_covered_density_radius_runs(tmp_path):
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", dict(BASE, n=9))
+    assert main(["measure", "--spec", spec, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())[
+        "parameters"]["n"] == 9
+
+
+# the exit code of every error main catches, as errors.py and the README
+# list them
+EXIT_CODES = {
+    errors.SchemaError: 1, errors.ModelInvalid: 1,
+    errors.ContinuationRefused: 2, errors.ContractionEscape: 2,
+    errors.NotBirkhoff: 2, errors.LaminationBroken: 2,
+    errors.CheckInconclusive: 2, errors.UnclassifiableSite: 2,
+    errors.NoConvergence: 3,
+    ValueError: 1, OverflowError: 1, OSError: 1, FileNotFoundError: 1,
+}
+
+
+def test_every_package_error_has_an_exit_code():
+    assert set(errors.LamlabError.__subclasses__()) <= set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc,code", list(EXIT_CODES.items()),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                               exc, code):
+    def raising(*args):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "continue", raising)
+    spec = write_spec(tmp_path, "s.json", BASE)
+    exits_with_one_line(
+        capsys, ["continue", "--spec", spec, "--out", str(tmp_path / "o")],
+        code)
+
+
+SMALL = {
+    "continue": (BASE, {"omega", "eps", "p", "s", "window_radius", "k_max",
+                        "M1", "M2"}),
+    "lamination": (dict(BASE, window_radius=4, n_samples=2),
+                   {"omega", "eps", "p", "window_radius", "n_samples",
+                    "k_max"}),
+    "measure": (dict(BASE, n=4),
+                {"omega", "eps", "p", "n", "window_radius", "injectivity"}),
+    "cantorus": (dict(BASE, p=[0.5, 0.5], n_samples=2),
+                 {"omega", "eps", "p", "wells", "window_radius", "n_samples",
+                  "s0"}),
+    "momentum": (MOMENTUM, {"eps", "window_radius", "labels"}),
+    "sweep": ({"model": {}, "omega": "golden", "eps_values": ["eps1/2"],
+               "p": [0.3, 0.7], "window_radius": 4},
+              {"omega", "eps_values", "p", "s", "window_radius"}),
+    "verify": ({"model": {}}, {"checks"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_manifest_parameter_keys(tmp_path, capsys, name):
+    body, keys = SMALL[name]
+    command = "cantorus" if name == "momentum" else name
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", body)
+    assert main([command, "--spec", spec, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"command", "parameters", "constants", "seed",
+                             "tol"}
+    params = manifest["parameters"]
+    assert set(params) == keys
+    if "omega" in keys:
+        assert params["omega"] == [GOLDEN_MEAN]
+    if "window_radius" in keys:
+        assert params["window_radius"] == body["window_radius"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("diff,order", [
+    ([0.0, LABEL_TOL, -LABEL_TOL], "0"),
+    ([0.0, 2 * LABEL_TOL], "1"),
+    ([-2 * LABEL_TOL, LABEL_TOL], "-1"),
+    ([-2 * LABEL_TOL, 2 * LABEL_TOL], "x"),
+])
+def test_ordering_matrix_classes_use_label_tol(diff, order):
+    assert _order(np.asarray(diff)) == order
 
 
 @pytest.mark.parametrize("checks", [

@@ -12,6 +12,8 @@ from lamlab import (
     Model,
     NoConvergence,
     TwistOrbit,
+    build_model,
+    builtin_harmonic_stencil,
     chaotic_momentum_orbit,
     extract_cantorus,
     quasi_newton_continue,
@@ -211,35 +213,46 @@ def test_extract_cantorus_guards(model1_single, model2, golden):
                          8, tol=1e-16)
 
 
+def momentum_model(V, labels):
+    # the envelope the orbit needs: K covers the largest label step
+    K = float(np.max(np.abs(np.diff(labels)))) + 2.0
+    return build_model(V, builtin_harmonic_stencil(1), K=K)
+
+
 def test_chaotic_momentum_orbit(model1):
     V = model1.potential
     window = Box.centered(8, 1)
     rng = np.random.default_rng(12)
     labels = rng.choice(V.criticals, size=window.padded(1).size)
-    orbit = chaotic_momentum_orbit(V, 5e-4, labels, window)
+    model = momentum_model(V, labels)
+    orbit = chaotic_momentum_orbit(model, 5e-4, labels, window)
     assert orbit.points.shape == (window.padded(1).size - 3, 2)
     assert orbit.map_residual(V) <= 1e-8
     # mixed critical labels produce erratic momenta
     assert np.ptp(orbit.points[:, 1]) > 0.2
     # deterministic: the same labels give the same orbit bit for bit
-    again = chaotic_momentum_orbit(V, 5e-4, labels, window)
+    again = chaotic_momentum_orbit(model, 5e-4, labels, window)
     assert np.array_equal(orbit.points, again.points)
     # a Configuration argument is equivalent to the raw array
     cfg = Configuration(window.padded(1), np.asarray(labels, dtype=float))
-    third = chaotic_momentum_orbit(V, 5e-4, cfg, window)
+    third = chaotic_momentum_orbit(model, 5e-4, cfg, window)
     assert np.array_equal(orbit.points, third.points)
 
 
-def test_chaotic_momentum_orbit_guards(model1):
+def test_chaotic_momentum_orbit_guards(model1, model2):
     V = model1.potential
     window = Box.centered(8, 1)
     with pytest.raises(ValueError):
-        chaotic_momentum_orbit(V, 5e-4, np.zeros(3), window)
+        chaotic_momentum_orbit(model2, 5e-4, np.zeros(window.padded(1).size),
+                               window)
     with pytest.raises(ValueError):
-        chaotic_momentum_orbit(V, 0.0, np.zeros(window.padded(1).size), window)
+        chaotic_momentum_orbit(model1, 5e-4, np.zeros(3), window)
     with pytest.raises(ValueError):
-        chaotic_momentum_orbit(V, 5e-4, np.zeros(25), Box.centered(2, 2))
+        chaotic_momentum_orbit(model1, 0.0, np.zeros(window.padded(1).size), window)
+    with pytest.raises(ValueError):
+        chaotic_momentum_orbit(model1, 5e-4, np.zeros(25), Box.centered(2, 2))
     rng = np.random.default_rng(12)
     labels = rng.choice(V.criticals, size=window.padded(1).size)
     with pytest.raises(CheckInconclusive):
-        chaotic_momentum_orbit(V, 5e-4, labels, window, tol=1e-15)
+        chaotic_momentum_orbit(momentum_model(V, labels), 5e-4, labels,
+                               window, tol=1e-15)
