@@ -30,7 +30,8 @@ from .errors import (CheckInconclusive, ContinuationRefused,
 from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
                    sample_config, step_hull_from_simplex)
 from .lattice import Box
-from .measure import DEFAULT_DENSITY_RADIUS, psi_epsilon, vague_distance_table
+from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
+                      psi_epsilon, vague_distance_table)
 from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
                     builtin_n_well, potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
@@ -62,6 +63,11 @@ _ALLOWED = {
     "verify": {"model", "seed", "checks"},
     "sweep": {"model", "seed", "omega", "eps_values", "p", "window_radius",
               "k_max"},
+}
+# the keys only one mode of cantorus reads; the other mode refuses them
+_MODE_KEYS = {
+    "cantorus": {"omega", "p", "wells", "n_samples", "s0"},
+    "momentum": {"labels", "coin_flip"},
 }
 _REQUIRED = {
     "continue": {"model", "omega", "eps", "p", "window_radius"},
@@ -386,12 +392,12 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
-    def raw_n(d):
-        return spec.get("n", DEFAULT_DENSITY_RADIUS.get(d))
-
-    model, omega, eps, window, effective = _setup(spec, raw_n)
-    n = _integer(raw_n(model.stencil.d), "n", 1)
+    # a spec without window_radius gets the window of its ball radius
+    model, omega, eps, window, effective = _setup(
+        spec, lambda d: spec.get("n", DEFAULT_DENSITY_RADIUS.get(d)))
     r = model.stencil.range
+    n = (_integer(spec["n"], "n", 1) if "n" in spec
+         else default_density_radius(window, r))
     if n > effective["window_radius"] + r:
         raise SchemaError(f"n must be at most window_radius + {r}, the "
                           "radius the continued configuration covers")
@@ -451,10 +457,13 @@ def cmd_measure(spec, out, seed, threads, tol):
 
 def cmd_cantorus(spec, out, seed, threads, tol):
     mode = spec.get("mode", "cantorus")
+    if mode not in ("cantorus", "momentum"):
+        raise SchemaError(f"unknown cantorus mode {mode!r}")
+    other = "momentum" if mode == "cantorus" else "cantorus"
+    _reject_unknown(spec, _ALLOWED["cantorus"] - _MODE_KEYS[other],
+                    f"cantorus {mode}-mode spec")
     if mode == "momentum":
         return _cmd_momentum(spec, out, seed, tol)
-    if mode != "cantorus":
-        raise SchemaError(f"unknown cantorus mode {mode!r}")
     if spec.get("omega") is None:
         raise SchemaError("cantorus mode needs omega")
     model, omega, eps, window, effective = _setup(spec, lambda d: 16)

@@ -177,22 +177,31 @@ def vague_distance_table(measures):
     return dist
 
 
+def default_density_radius(window, r):
+    """Ball radius of the counting measure when none is given: 377 in one
+    dimension and 60 in two, cut to the largest ball that the window
+    grown by the interaction range r covers."""
+    n = DEFAULT_DENSITY_RADIUS.get(window.d)
+    if n is None:
+        raise ValueError("no default ball radius in this dimension; pass n")
+    return min(n, min(*(-lo for lo in window.lo), *window.hi) + r)
+
+
 def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):
     """The simplex-to-measure map at finite coupling.
 
     Builds the step hull of p, samples it along omega over the window,
     continues the sample, and returns its counting measure over the ball
-    of radius n. Certified only up to eps1, where continuation keeps every
-    site inside its classification interval.
+    of radius n (by default ``default_density_radius``). Certified only
+    up to eps1, where continuation keeps every site inside its
+    classification interval.
     """
     from .continuation import _refuse_coupling, quasi_newton_continue
 
     cst = model.constants
     _refuse_coupling(cst, eps, "eps1")
     if n is None:
-        n = DEFAULT_DENSITY_RADIUS.get(window.d)
-        if n is None:
-            raise ValueError("no default ball radius in this dimension; pass n")
+        n = default_density_radius(window, model.stencil.range)
     phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
     s = generic_parameter(phi, omega, Bp, 0.5)

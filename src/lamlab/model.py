@@ -21,6 +21,8 @@ Constants and their roles:
               convex over the trust ball (needed by the defect calculus).
 """
 
+from dataclasses import asdict, dataclass, fields, replace
+
 import numpy as np
 
 from .errors import ModelInvalid
@@ -36,8 +38,7 @@ def _as_vectorized(f):
     """Wrap a scalar callable so it accepts arrays transparently."""
     def g(s):
         s = np.asarray(s, dtype=float)
-        out = f(s)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(f(s), dtype=float)
         if out.shape != s.shape:
             out = np.broadcast_to(out, s.shape).copy()
         return out if s.ndim else float(out)
@@ -54,15 +55,11 @@ def find_criticals(d1, grid=CRITICAL_GRID, tol=1e-14):
     s = np.arange(grid) / grid
     f = np.asarray(d1(s), dtype=float)
     roots = []
-    for i in range(grid):
-        a = s[i]
-        b = (i + 1) / grid
-        fa = f[i]
-        fb = f[(i + 1) % grid]
+    # the cells that start on a zero or change sign (or hold a NaN)
+    for i in np.flatnonzero((f == 0.0) | ~(f * np.roll(f, -1) >= 0.0)).tolist():
+        a, b, fa = s[i], (i + 1) / grid, f[i]
         if fa == 0.0:
             roots.append(a)
-            continue
-        if fa * fb >= 0.0:
             continue
         for _ in range(200):
             m = 0.5 * (a + b)
@@ -71,7 +68,7 @@ def find_criticals(d1, grid=CRITICAL_GRID, tol=1e-14):
                 a = b = m
                 break
             if fa * fm < 0:
-                b, fb = m, fm
+                b = m
             else:
                 a, fa = m, fm
         roots.append(0.5 * (a + b))
@@ -111,9 +108,8 @@ class Potential:
         resid = np.abs(self.d1(criticals))
         if np.max(resid) > tol:
             worst = criticals[int(np.argmax(resid))]
-            raise ModelInvalid(
-                f"critical point {worst!r} has slope residual {np.max(resid):.2e}"
-            )
+            raise ModelInvalid(f"critical point {worst!r} has slope residual "
+                               f"{np.max(resid):.2e}")
         curv = self.d2(criticals)
         if kinds is None:
             kinds = tuple("minimum" if cv > 0 else "maximum" for cv in curv)
@@ -124,13 +120,10 @@ class Potential:
         if gap <= 0.0 or np.any(curv == 0.0):
             raise ModelInvalid("degenerate critical point; background is not Morse")
         for sig, kind, cv in zip(criticals, kinds, curv):
-            want_min = kind == "minimum"
-            if want_min != (cv > 0):
+            if (kind == "minimum") != (cv > 0):
                 raise ModelInvalid(f"tag {kind} at {sig} contradicts curvature {cv}")
-        n = len(kinds)
-        for i in range(n):
-            if kinds[i] == kinds[(i + 1) % n]:
-                raise ModelInvalid("critical tags must alternate around the circle")
+        if any(a == b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
+            raise ModelInvalid("critical tags must alternate around the circle")
         if kinds.count("minimum") < 1:
             raise ModelInvalid("need at least one local minimum")
 
@@ -196,8 +189,7 @@ def potential_from_table(samples):
     # drop the unpaired Nyquist mode for even n; it cannot be evaluated
     # consistently off-grid
     if n % 2 == 0:
-        coef = coef[:-1]
-        m = m[:-1]
+        coef, m = coef[:-1], m[:-1]
 
     def series(s, order):
         s = np.asarray(s, dtype=float)
@@ -209,29 +201,34 @@ def potential_from_table(samples):
         out = 2.0 * np.real(vals) - np.real(coef[0] * fac[0])
         return out.reshape(s.shape)
 
-    value = lambda s: series(s, 0)
-    d1 = lambda s: series(s, 1)
-    d2 = lambda s: series(s, 2)
-    return Potential(value, d1, d2)
+    # V, V' and V'' are the series differentiated 0, 1 and 2 times
+    return Potential(*(lambda s, k=k: series(s, k) for k in range(3)))
+
+
+def _center_and_units(offsets):
+    """Indices of the zero offset and of the unit offsets in a ball."""
+    norms = np.abs(offsets).sum(axis=1)
+    return int(np.flatnonzero(norms == 0)[0]), np.flatnonzero(norms == 1).tolist()
 
 
 class InteractionStencil:
     """Finite-range local energy applied at every lattice site.
 
-    The energy callback receives a flat value array indexed by the L1 ball
-    of radius ``range`` around the site, in the lexicographic order of
-    :func:`ball_offsets`. Gradient and hessian callbacks return arrays in
-    the same indexing. Construction samples the ferromagnetic sign
-    condition, integer-shift invariance, and agreement of the analytic
-    derivatives with finite differences.
+    A window holds the values on the L1 ball of radius ``range`` around a
+    site, in the lexicographic order of :func:`ball_offsets`. Callbacks
+    take a stack of windows: the last axis runs over the m offsets, under
+    any leading axes (none for a single window), and no window's result
+    may depend on the rest of the stack beyond rounding. ``energy``
+    returns the leading shape, ``gradient`` appends (m,) and ``hessian``
+    (m, m). Validation samples one stack and checks it against its
+    windows taken one by one, the ferromagnetic sign condition,
+    integer-shift invariance, and the derivatives against finite
+    differences.
 
-    ``force_field`` and ``energy_sum_field``, when provided, are
-    vectorized fast paths used by the continuation code; the generic
-    site-loop implementations below are the reference semantics. The
-    built-in harmonic fast paths take the slices of the target box in
-    its domain once and reach the nearest neighbours along each axis by
-    moving those slices one step either way, so no shifted ``Box`` is
-    built per call.
+    ``force`` and ``energy_sum`` gather the windows they need with one
+    shifted slice per offset and make one callback call, unless closed
+    forms ``force_field`` and ``energy_sum_field`` are given, as the
+    built-in harmonic stencil does.
     """
 
     def __init__(self, d, range_, energy, gradient, hessian,
@@ -241,111 +238,108 @@ class InteractionStencil:
         self.d = int(d)
         self.range = int(range_)
         self.offsets = ball_offsets(self.d, self.range)
-        self.center = int(np.where(~np.any(self.offsets, axis=1))[0][0])
-        self._energy = energy
-        self._gradient = gradient
-        self._hessian = hessian
+        self.center, self.unit_indices = _center_and_units(self.offsets)
+        self._energy, self._gradient, self._hessian = energy, gradient, hessian
         self._force_field = force_field
         self._energy_sum_field = energy_sum_field
-        self.unit_indices = [
-            i for i, o in enumerate(self.offsets)
-            if np.abs(o).sum() == 1
-        ]
         if validate:
             self._validate()
 
-    # -- reference callbacks ------------------------------------------------
+    # -- callbacks on stacks of windows -------------------------------------
 
-    def energy(self, window):
-        return float(self._energy(np.asarray(window, dtype=float)))
+    def _call(self, f, windows, tail, what):
+        w = np.asarray(windows, dtype=float)
+        out = np.asarray(f(w), dtype=float)
+        if out.shape != w.shape[:-1] + tail:
+            raise ModelInvalid(f"{what} callback returned a wrong-shaped array")
+        return out
 
-    def gradient(self, window):
-        g = np.asarray(self._gradient(np.asarray(window, dtype=float)), dtype=float)
-        if g.shape != (len(self.offsets),):
-            raise ModelInvalid("gradient callback returned a wrong-shaped array")
-        return g
+    def energy(self, windows):
+        e = self._call(self._energy, windows, (), "energy")
+        return float(e) if e.ndim == 0 else e
 
-    def hessian(self, window):
-        h = np.asarray(self._hessian(np.asarray(window, dtype=float)), dtype=float)
-        m = len(self.offsets)
-        if h.shape != (m, m):
-            raise ModelInvalid("hessian callback returned a wrong-shaped array")
-        return h
+    def gradient(self, windows):
+        return self._call(self._gradient, windows, self.offsets.shape[:1], "gradient")
+
+    def hessian(self, windows):
+        return self._call(self._hessian, windows, self.offsets.shape[:1] * 2, "hessian")
 
     def _validate(self):
+        m = len(self.offsets)
         rng = np.random.default_rng(SAMPLE_SEED)
-        m = len(self.offsets)
-        for trial in range(16):
-            w = rng.uniform(-2.0, 2.0, m)
-            h = self.hessian(w)
-            if np.max(np.abs(h - h.T)) > 1e-8:
-                raise ModelInvalid("hessian is not symmetric on a sampled window")
-            off = h - np.diag(np.diag(h))
-            if np.max(off) > 1e-12:
-                raise ModelInvalid(
-                    "ferromagnetic sign condition fails: positive mixed derivative"
-                )
-            for u in self.unit_indices:
-                if not h[self.center, u] < 0.0:
-                    raise ModelInvalid(
-                        "ferromagnetic sign condition fails: center-to-neighbor "
-                        "coupling must be strictly negative"
-                    )
-            if abs(self.energy(w + 1.0) - self.energy(w)) > 1e-9 * (1 + abs(self.energy(w))):
-                raise ModelInvalid("energy is not invariant under integer shifts")
-            if trial < 4:
-                self._check_derivatives(w)
+        # 16 windows under two leading axes, as the 2-d sums stack them
+        w = rng.uniform(-2.0, 2.0, (4, 4, m))
+        try:
+            e, g, h = self.energy(w), self.gradient(w), self.hessian(w)
+        except (IndexError, ValueError) as exc:
+            raise ModelInvalid(
+                f"callbacks fail on a stack of windows: {exc}") from exc
+        for got, f in ((e, self.energy), (g, self.gradient), (h, self.hessian)):
+            one = f(w[-1, -1])
+            if np.max(np.abs(got[-1, -1] - one)) > 1e-12 * (1 + np.max(np.abs(one))):
+                raise ModelInvalid("a stack of windows does not give the "
+                                   "results of its windows one by one")
+        if np.max(np.abs(h - np.swapaxes(h, -1, -2))) > 1e-8:
+            raise ModelInvalid("hessian is not symmetric on a sampled window")
+        if np.max(np.where(np.eye(m, dtype=bool), 0.0, h)) > 1e-12:
+            raise ModelInvalid("ferromagnetic sign condition fails: "
+                               "positive mixed derivative")
+        if not np.all(h[..., self.center, self.unit_indices] < 0.0):
+            raise ModelInvalid("ferromagnetic sign condition fails: center-to-"
+                               "neighbor coupling must be strictly negative")
+        if np.any(np.abs(self.energy(w + 1.0) - e) > 1e-9 * (1 + np.abs(e))):
+            raise ModelInvalid("energy is not invariant under integer shifts")
+        # central differences along every offset of the first 4 windows
+        w, g, h = w[0], g[0], h[0]
+        step = 1e-6 * np.eye(m)
+        up, dn = w[..., None, :] + step, w[..., None, :] - step
+        fd = (self.energy(up) - self.energy(dn)) / 2e-6
+        scale = 1.0 + np.max(np.abs(g), axis=-1, keepdims=True)
+        if np.any(np.abs(fd - g) > 1e-5 * scale):
+            raise ModelInvalid("analytic gradient disagrees with finite differences")
+        # row i of gd is column i of the hessian
+        gd = (self.gradient(up) - self.gradient(dn)) / 2e-6
+        scale = 1.0 + np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+        if np.any(np.abs(gd - np.swapaxes(h, -1, -2)) > 1e-4 * scale):
+            raise ModelInvalid("analytic hessian disagrees with finite differences")
 
-    def _check_derivatives(self, w):
-        m = len(self.offsets)
-        h = 1e-6
-        g = self.gradient(w)
-        hess = self.hessian(w)
-        scale = 1.0 + np.max(np.abs(g))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            fd = (self.energy(w + e) - self.energy(w - e)) / (2 * h)
-            if abs(fd - g[i]) > 1e-5 * scale:
-                raise ModelInvalid("analytic gradient disagrees with finite differences")
-            gd = (self.gradient(w + e) - self.gradient(w - e)) / (2 * h)
-            if np.max(np.abs(gd - hess[:, i])) > 1e-4 * (1 + np.max(np.abs(hess))):
-                raise ModelInvalid("analytic hessian disagrees with finite differences")
+    # -- sums over the sites of a box ---------------------------------------
 
-    # -- window evaluation over configurations ------------------------------
-
-    def _window_at(self, values, domain, j):
-        idx = tuple((j + self.offsets - domain.lo).T)
-        return values[idx]
+    def _windows(self, values, domain, box):
+        """The windows of every site of ``box``, as a ``box.shape + (m,)``
+        stack; the collar of width ``range`` must lie in ``domain``."""
+        r = self.range
+        sl = box.padded(r).slice_in(domain)
+        return np.stack([
+            values[tuple(slice(s.start + r + o, s.stop - r + o)
+                         for s, o in zip(sl, off))]
+            for off in self.offsets.tolist()], axis=-1)
 
     def energy_sum(self, values, domain, box):
-        """Sum of the local energies over all sites of ``box``."""
+        """Sum of the local energies over all sites of ``box``, added in
+        the sites' lexicographic order from 0.0."""
         if self._energy_sum_field is not None:
             return self._energy_sum_field(values, domain, box)
-        total = 0.0
-        for j in box.sites():
-            total += self.energy(self._window_at(values, domain, j))
-        return float(total)
+        e = self.energy(self._windows(values, domain, box))
+        return float(np.cumsum(np.concatenate(([0.0], e.ravel())))[-1])
 
     def force(self, values, domain, out):
         """Summed interaction force on every site of ``out``.
 
-        The force at i collects the i-derivatives of every local energy
-        whose window contains i. Reads values up to distance 2*range from
-        ``out``, which must be available in ``domain``.
+        The force at i sums the i-derivatives of every local energy whose
+        window contains i. One gradient call covers ``out`` grown by
+        ``range``; adding the offsets' slices in reverse order sums each
+        site's terms in the lexicographic order of the window centres.
+        Reads ``out`` grown by 2*range, which must lie in ``domain``.
         """
         if self._force_field is not None:
             return self._force_field(values, domain, out)
+        r = self.range
+        G = self.gradient(self._windows(values, domain, out.padded(r)))
         R = np.zeros(out.shape)
-        lo = np.asarray(out.lo)
-        hi = np.asarray(out.hi)
-        for j in out.padded(self.range).sites():
-            g = self.gradient(self._window_at(values, domain, j))
-            tgt = j + self.offsets
-            keep = np.all(tgt >= lo, axis=1) & np.all(tgt <= hi, axis=1)
-            if not np.any(keep):
-                continue
-            np.add.at(R, tuple((tgt[keep] - lo).T), g[keep])
+        for k in range(len(self.offsets) - 1, -1, -1):
+            R += G[tuple(slice(r - o, r - o + n) for o, n in
+                         zip(self.offsets[k].tolist(), out.shape)) + (k,)]
         return R
 
 
@@ -375,28 +369,30 @@ def builtin_harmonic_stencil(d):
     if d < 1:
         raise ValueError("d must be a positive integer")
     offsets = ball_offsets(d, 1)
-    center = int(np.where(~np.any(offsets, axis=1))[0][0])
-    units = [i for i, o in enumerate(offsets) if np.abs(o).sum() == 1]
+    center, units = _center_and_units(offsets)
+
+    def differences(w):
+        # np.take keeps the rows contiguous, so np.sum adds each window's
+        # differences in the same order whatever the stack's shape
+        return np.take(w, units, axis=-1) - w[..., [center]]
 
     def energy(w):
-        return 0.25 * np.sum((w[units] - w[center]) ** 2)
+        return 0.25 * np.sum(differences(w) ** 2, axis=-1)
 
     def gradient(w):
         g = np.zeros_like(w)
-        diffs = w[units] - w[center]
-        g[units] = 0.5 * diffs
-        g[center] = -0.5 * np.sum(diffs)
+        diffs = differences(w)
+        g[..., units] = 0.5 * diffs
+        g[..., center] = -0.5 * np.sum(diffs, axis=-1)
         return g
 
     hess = np.zeros((len(offsets), len(offsets)))
-    for u in units:
-        hess[u, u] = 0.5
-        hess[u, center] = -0.5
-        hess[center, u] = -0.5
+    hess[units, units] = 0.5
+    hess[units, center] = hess[center, units] = -0.5
     hess[center, center] = float(d)
 
     def hessian(w):
-        return hess
+        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
 
     def force_field(values, domain, out):
         sl = out.slice_in(domain)
@@ -423,37 +419,30 @@ def builtin_harmonic_stencil(d):
     )
 
 
+@dataclass(repr=False)
 class ModelConstants:
-    """Envelope constants governing continuation; see the module docstring."""
+    """Envelope constants governing continuation; see the module docstring.
+    Every field is stored as a float."""
 
-    def __init__(self, c, C1, C2, delta0, eps0, eps1, contraction_k, osc_bound_K):
-        self.c = float(c)
-        self.C1 = float(C1)
-        self.C2 = float(C2)
-        self.delta0 = float(delta0)
-        self.eps0 = float(eps0)
-        self.eps1 = float(eps1)
-        self.contraction_k = float(contraction_k)
-        self.osc_bound_K = float(osc_bound_K)
+    c: float
+    C1: float
+    C2: float
+    delta0: float
+    eps0: float
+    eps1: float
+    contraction_k: float
+    osc_bound_K: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, float(getattr(self, f.name)))
 
     def replace(self, **kw):
         """Copy with some fields overridden; the envelope is advisory and
         users may tighten or loosen it deliberately."""
-        fields = dict(
-            c=self.c, C1=self.C1, C2=self.C2, delta0=self.delta0,
-            eps0=self.eps0, eps1=self.eps1,
-            contraction_k=self.contraction_k, osc_bound_K=self.osc_bound_K,
-        )
-        fields.update(kw)
-        return ModelConstants(**fields)
+        return replace(self, **kw)
 
-    def as_dict(self):
-        return {
-            "c": self.c, "C1": self.C1, "C2": self.C2,
-            "delta0": self.delta0, "eps0": self.eps0, "eps1": self.eps1,
-            "contraction_k": self.contraction_k,
-            "osc_bound_K": self.osc_bound_K,
-        }
+    as_dict = asdict
 
     def __repr__(self):
         return ("ModelConstants(" +
@@ -488,32 +477,28 @@ def estimate_constants(V, S, K, k=0.5):
     d, r = S.d, S.range
     wide = ball_offsets(d, 2 * r)
     inner = ball_offsets(d, r)
-    # index of each inner-ball offset inside the wide ball
-    wide_index = {tuple(o): i for i, o in enumerate(wide)}
-    sub = np.array([wide_index[tuple(o)] for o in inner])
-    inner_index = {tuple(o): i for i, o in enumerate(inner)}
+    wide_index = {tuple(o): i for i, o in enumerate(wide.tolist())}
+    inner_index = {tuple(o): i for i, o in enumerate(inner.tolist())}
 
     rng = np.random.default_rng(SAMPLE_SEED)
     lim = (K + 1.0) / 2.0
     samples = rng.uniform(-lim, lim, size=(SAMPLE_WINDOWS, len(wide)))
 
-    ball_count = float((2 * r + 1) ** d)
-    C1 = 0.0
-    C2 = 0.0
-    for w in samples:
-        g = S.gradient(w[sub])
-        C1 = max(C1, ball_count * float(np.max(np.abs(g))))
-        # force Jacobian row at the center: d(force_0)/d(x_k) sums the
-        # mixed derivatives of every window containing both 0 and k
-        row = {}
-        for j in inner:
-            wj = w[[wide_index[tuple(j + o)] for o in inner]]
-            h = S.hessian(wj)
-            i0 = inner_index[tuple(-j)]
-            for kk, o in enumerate(inner):
-                tgt = tuple(j + o)
-                row[tgt] = row.get(tgt, 0.0) + h[i0, kk]
-        C2 = max(C2, float(sum(abs(v) for v in row.values())))
+    def windows(j):
+        """The sampled windows centred at offset j of the wide ball."""
+        return samples[:, [wide_index[tuple(j + o)] for o in inner]]
+
+    C1 = float((2 * r + 1) ** d) * float(np.max(np.abs(S.gradient(windows(0)))))
+    # force Jacobian row at the center: d(force_0)/d(x_k) sums the mixed
+    # derivatives of every window j containing both 0 and k, added in the
+    # order of j; the columns number the k by first appearance
+    col = {}
+    row = np.zeros((SAMPLE_WINDOWS, len(wide)))
+    for j in inner:
+        h = S.hessian(windows(j))
+        ks = [col.setdefault(tuple(j + o), len(col)) for o in inner]
+        row[:, ks] += h[:, inner_index[tuple(-j)], :]
+    C2 = float(np.max(np.cumsum(np.abs(row), axis=1)[:, -1]))
 
     grid = np.arange(CRITICAL_GRID + 1) / CRITICAL_GRID
     curv = V.d2(grid)

@@ -312,9 +312,13 @@ def test_non_finite_and_mistyped_numbers_exit_1(tmp_path, capsys, command,
     body = dict(BASE, **change)
     if command == "sweep":
         del body["eps"]
+    if body.get("mode") == "momentum":
+        # momentum mode refuses the cantorus-mode keys of BASE
+        del body["omega"], body["p"]
     spec = write_spec(tmp_path, "s.json", body)
-    exits_with_one_line(
+    err = exits_with_one_line(
         capsys, [command, "--spec", spec, "--out", str(tmp_path / "o")], 1)
+    assert "-mode spec keys" not in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
@@ -459,9 +463,12 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     ("sweep", {"omega": 0.5}),
     # the solution covers the window and its collar of one site
     ("measure", {"n": 10}),
-    # the default n of a 1-d chain is 377
-    ("measure", {}),
+    # no default n in three dimensions
+    ("measure", {"model": {"stencil": {"kind": "harmonic", "d": 3}},
+                 "omega": ["golden", "sqrt2-1", "sqrt3-1"],
+                 "window_radius": 2}),
     ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": {},
+                  "omega": None, "p": None,
                   "model": {"stencil": {"kind": "harmonic", "d": 2}}}),
 ])
 def test_refused_before_the_manifest(tmp_path, capsys, command, change):
@@ -473,7 +480,7 @@ def test_refused_before_the_manifest(tmp_path, capsys, command, change):
     err = exits_with_one_line(
         capsys, [command, "--spec", spec, "--out", str(out)], 1)
     assert not (out / "manifest.json").exists()
-    assert "np.float64" not in err
+    assert "np.float64" not in err and "-mode spec keys" not in err
     if change.get("omega") == 0.5:
         assert err == "error: rotation component 0.5 is within 1e-09 of 1/2\n"
 
@@ -484,6 +491,41 @@ def test_largest_covered_density_radius_runs(tmp_path):
     assert main(["measure", "--spec", spec, "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())[
         "parameters"]["n"] == 9
+
+
+def test_default_density_radius_fits_the_window(tmp_path):
+    # 377 in one dimension, cut to window_radius + r
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", BASE)
+    assert main(["measure", "--spec", spec, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())[
+        "parameters"]["n"] == 9
+    window = Box.centered(BASE["window_radius"], 1)
+    model = build_model(builtin_n_well(2), builtin_harmonic_stencil(1),
+                        omega=[GOLDEN_MEAN])
+    mu = psi_epsilon(model, model.constants.eps1 / 2, BASE["p"],
+                     [GOLDEN_MEAN], window)
+    assert mu.density_table[-1][0] == 9
+    assert json.loads((out / "measure.json").read_text())["atoms"] == \
+        mu.as_pairs()
+
+
+@pytest.mark.parametrize("mode,extra", [
+    ("momentum", {"omega": 0.5, "p": [0.5], "n_samples": 3,
+                  "wells": "bogus", "s0": "x"}),
+    ("cantorus", {"labels": "junk", "coin_flip": 7}),
+])
+def test_cantorus_modes_refuse_each_others_keys(tmp_path, capsys, mode,
+                                               extra):
+    body = dict(MOMENTUM) if mode == "momentum" else dict(
+        BASE, p=[0.5, 0.5], n_samples=2)
+    spec = write_spec(tmp_path, "s.json", dict(body, **extra))
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, ["cantorus", "--spec", spec, "--out", str(out)], 1)
+    assert err == (f"error: unknown cantorus {mode}-mode spec keys: "
+                   f"{sorted(extra)}\n")
+    assert not (out / "manifest.json").exists()
 
 
 # the exit code of every error main catches, as errors.py and the README

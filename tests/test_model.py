@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import lamlab
-from lamlab import (Box, Configuration, InteractionStencil, ModelInvalid,
-                    Potential, builtin_harmonic_stencil, builtin_n_well,
+from lamlab import (Box, Configuration, InteractionStencil, ModelConstants,
+                    ModelInvalid, Potential, build_model,
+                    builtin_harmonic_stencil, builtin_n_well,
                     estimate_constants, find_criticals, osc_bound,
                     potential_from_table)
+from lamlab.lattice import ball_offsets
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,6 +121,159 @@ def test_harmonic_fast_paths_match_generic_scatter():
             slow.energy_sum(vals, Bp, B), rel=1e-12)
 
 
+def range2_stencil(d, b=0.3):
+    # nearest plus next-nearest harmonic: bonds at L1 distance 1 have
+    # weight 1, bonds at distance 2 weight b
+    offsets = ball_offsets(d, 2)
+    norms = np.abs(offsets).sum(axis=1)
+    center = int(np.flatnonzero(norms == 0)[0])
+    nb = np.flatnonzero(norms > 0)
+    wt = np.where(norms[nb] == 1, 1.0, b)
+    m = len(offsets)
+    hess = np.zeros((m, m))
+    hess[nb, nb] = 0.5 * wt
+    hess[nb, center] = hess[center, nb] = -0.5 * wt
+    hess[center, center] = 0.5 * np.sum(wt)
+
+    def differences(w):
+        # contiguous rows: np.sum then adds a window's 4d(d+1) terms in
+        # one order whatever the stack's shape
+        return np.take(w, nb, axis=-1) - w[..., [center]]
+
+    def energy(w):
+        return 0.25 * np.sum(wt * differences(w) ** 2, axis=-1)
+
+    def gradient(w):
+        q = 0.5 * wt * differences(w)
+        g = np.zeros_like(w)
+        g[..., nb] = q
+        g[..., center] = -np.sum(q, axis=-1)
+        return g
+
+    def hessian(w):
+        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
+
+    return InteractionStencil(d, 2, energy, gradient, hessian)
+
+
+def site_loop_force(sten, values, domain, out):
+    # reference: one gradient call per window centre, scattered in the
+    # centres' lexicographic order
+    R = np.zeros(out.shape)
+    lo, hi = np.asarray(out.lo), np.asarray(out.hi)
+    for j in out.padded(sten.range).sites():
+        tgt = j + sten.offsets
+        g = sten.gradient(values[tuple((tgt - domain.lo).T)])
+        keep = np.all(tgt >= lo, axis=1) & np.all(tgt <= hi, axis=1)
+        np.add.at(R, tuple((tgt[keep] - lo).T), g[keep])
+    return R
+
+
+def site_loop_energy_sum(sten, values, domain, box):
+    total = 0.0
+    for j in box.sites():
+        total += sten.energy(values[tuple((j + sten.offsets - domain.lo).T)])
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_range2_generic_sums_equal_the_site_loop(d):
+    rng = np.random.default_rng(70 + d)
+    sten = range2_stencil(d)
+    R = 6 if d == 1 else 3
+    domain = Box.centered(R + 4, d)
+    # boxes whose reading collar reaches the domain's edge: a centred one
+    # and one off centre
+    cases = [Box.centered(R, d), Box([-R] + [-1] * (d - 1), [1] * d)]
+    vals = rng.uniform(-3.0, 3.0, domain.shape)
+    for out in cases:
+        got = sten.force(vals, domain, out)
+        assert got.shape == out.shape
+        assert np.array_equal(got, site_loop_force(sten, vals, domain, out))
+        box = out.padded(2)
+        assert sten.energy_sum(vals, domain, box) == \
+            site_loop_energy_sum(sten, vals, domain, box)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_range2_force_matches_energy_finite_differences(d):
+    rng = np.random.default_rng(80 + d)
+    sten = range2_stencil(d)
+    out = Box.centered(2, d)
+    box = out.padded(2)
+    domain = box.padded(2)
+    vals = rng.uniform(-2.0, 2.0, domain.shape)
+    force = sten.force(vals, domain, out)
+    h = 1e-6
+    for site in out.sites():
+        up, dn = vals.copy(), vals.copy()
+        up[domain.index(site)] += h
+        dn[domain.index(site)] -= h
+        fd = (sten.energy_sum(up, domain, box)
+              - sten.energy_sum(dn, domain, box)) / (2 * h)
+        assert force[out.index(site)] == pytest.approx(fd, abs=1e-7)
+
+
+@pytest.mark.parametrize("d,C1,C2", [
+    (1, 21.76494370854268, 5.199999999999999),
+    (2, 240.73375947894405, 12.800000000000004),
+])
+def test_range2_constants_are_pinned(d, C1, C2):
+    cst = build_model(builtin_n_well(2), range2_stencil(d),
+                      omega=[lamlab.GOLDEN_MEAN] * d).constants
+    assert (cst.C1, cst.C2) == (C1, C2)
+
+
+def single_window_harmonic(d):
+    # the harmonic callbacks written for one window at a time
+    base = builtin_harmonic_stencil(d)
+    units, center = base.unit_indices, base.center
+
+    def energy(w):
+        return 0.25 * np.sum((w[units] - w[center]) ** 2)
+
+    def gradient(w):
+        g = np.zeros_like(w)
+        diffs = w[units] - w[center]
+        g[units] = 0.5 * diffs
+        g[center] = -0.5 * np.sum(diffs, axis=0)
+        return g
+
+    return base, energy, gradient, base.hessian(np.zeros(len(base.offsets)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_window_callbacks_are_refused(d):
+    base, energy, gradient, hess = single_window_harmonic(d)
+    with pytest.raises(ModelInvalid, match="stack of windows|wrong-shaped"):
+        InteractionStencil(d, 1, energy, base.gradient, base.hessian)
+    # in 1-d the stack's result has the right shape, but its rows were
+    # indexed as if they were offsets
+    with pytest.raises(ModelInvalid, match="stack of windows"):
+        InteractionStencil(d, 1, base.energy, gradient, base.hessian)
+    with pytest.raises(ModelInvalid, match="wrong-shaped"):
+        InteractionStencil(d, 1, base.energy, base.gradient, lambda w: hess)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_generic_sums_refuse_a_collar_outside_the_domain(d):
+    fast = builtin_harmonic_stencil(d)
+    for sten in (range2_stencil(d),
+                 InteractionStencil(d, 1, fast.energy, fast.gradient,
+                                    fast.hessian)):
+        domain = Box.centered(5, d)
+        vals = np.zeros(domain.shape)
+        r = sten.range
+        with pytest.raises(ValueError):
+            sten.force(vals, domain, Box.centered(5 - 2 * r + 1, d))
+        with pytest.raises(ValueError):
+            sten.energy_sum(vals, domain, domain)
+        # the widest boxes that fit still evaluate
+        assert sten.force(vals, domain, Box.centered(5 - 2 * r, d)).shape \
+            == Box.centered(5 - 2 * r, d).shape
+        assert sten.energy_sum(vals, domain, domain.interior(r)) == 0.0
+
+
 def shifted_box_force(d, values, domain, out):
     # reference: one shifted Box per neighbour, sliced into the domain
     R = 2.0 * d * values[out.slice_in(domain)]
@@ -202,6 +357,19 @@ def test_estimate_constants_two_well_harmonic(model1):
     assert cst.eps1 == pytest.approx(0.001073511824875158, rel=1e-9)
 
 
+@pytest.mark.parametrize("d,C1,eps0", [
+    (1, 9.26603630926548, 0.001073511824875158),
+    (2, 47.26790030421504, 0.0002104430170094108),
+    (3, 221.93480913217695, 4.482036678525197e-05),
+])
+def test_harmonic_constants_are_pinned(d, C1, eps0):
+    cst = build_model(builtin_n_well(2), builtin_harmonic_stencil(d),
+                      omega=[lamlab.GOLDEN_MEAN] * d).constants
+    assert cst == ModelConstants(
+        c=1.0, C1=C1, C2=4.0 * d, delta0=0.01989439909543812, eps0=eps0,
+        eps1=eps0, contraction_k=0.5, osc_bound_K=2.618033988749895)
+
+
 def test_estimate_constants_seeded_and_deterministic(model1):
     again = estimate_constants(model1.potential, model1.stencil,
                                model1.constants.osc_bound_K)
@@ -212,6 +380,9 @@ def test_constants_replace_and_dict(model1):
     cst = model1.constants
     tweaked = cst.replace(delta0=1e-3)
     assert tweaked.delta0 == 1e-3 and tweaked.C2 == cst.C2
+    # every field is stored as a float, so manifests write 10.0
+    assert repr(cst.replace(eps0=10).as_dict()["eps0"]) == "10.0"
+    assert repr(ModelConstants(1, 2, 3, 4, 5, 6, 7, 8).C1) == "2.0"
     d = cst.as_dict()
     assert set(d) == {"c", "C1", "C2", "delta0", "eps0", "eps1",
                       "contraction_k", "osc_bound_K"}
