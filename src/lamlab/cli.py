@@ -240,7 +240,8 @@ def _setup(spec, radius=None):
     """Model, omega, coupling and window of a spec command, parsed once.
 
     The coupling is ``eps``, or the list ``eps_values`` for ``sweep``;
-    ``radius(d)`` is the window radius in dimension d if the spec has none.
+    ``radius(d)`` is called only if the spec has no window_radius, and
+    gives the window radius in dimension d.
     Returns them and the manifest entries they fill."""
     potential, stencil, K, k = _model_parts(spec)
     omega = _parse_omega(spec["omega"], stencil.d)
@@ -252,7 +253,9 @@ def _setup(spec, radius=None):
         eps = [_parse_eps(v, model.constants) for v in eps]
     else:
         key, eps = "eps", _parse_eps(spec["eps"], model.constants)
-    window = _parse_window(spec, stencil, radius and radius(stencil.d))
+    default = (radius(stencil.d)
+               if radius is not None and "window_radius" not in spec else None)
+    window = _parse_window(spec, stencil, default)
     effective = {"omega": [float(w) for w in omega], key: eps,
                  "window_radius": int(window.hi[0])}
     return model, omega, eps, window, effective
@@ -283,8 +286,10 @@ def _site_header(d):
 
 
 def _manifest(out, command, effective, model, seed, tol):
+    # the run directory is made here, so a refused spec leaves none;
     # threads deliberately omitted: outputs must be byte-identical no
     # matter how the work is scheduled
+    out.mkdir(parents=True, exist_ok=True)
     body = {
         "command": command,
         "parameters": effective,
@@ -392,9 +397,16 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
-    # a spec without window_radius gets the window of its ball radius
-    model, omega, eps, window, effective = _setup(
-        spec, lambda d: spec.get("n", DEFAULT_DENSITY_RADIUS.get(d)))
+    def ball_radius(d):
+        # a spec without window_radius gets the window of its ball radius
+        if "n" in spec:
+            return spec["n"]
+        if d not in DEFAULT_DENSITY_RADIUS:
+            raise SchemaError("no default ball radius in this dimension; "
+                              "pass n")
+        return DEFAULT_DENSITY_RADIUS[d]
+
+    model, omega, eps, window, effective = _setup(spec, ball_radius)
     r = model.stencil.range
     n = (_integer(spec["n"], "n", 1) if "n" in spec
          else default_density_radius(window, r))
@@ -643,7 +655,6 @@ def main(argv=None):
         out = None
         if args.out is not None:
             out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
         elif args.command != "verify":
             raise SchemaError("this command needs --out <dir>")
         return _COMMANDS[args.command](spec, out, seed, threads, args.tol)

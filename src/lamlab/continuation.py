@@ -87,12 +87,14 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
     sl = interior.slice_in(Bp)
     anchor = labels[sl]
     diag = model.potential.d2(anchor)
+    # a view: updating it updates X, which the force reads
+    Xi = X[sl]
     rate = 0.0
     prev = None
     disp = 0.0
     it = 0
     while True:
-        resid = (model.potential.d1(X[sl])
+        resid = (model.potential.d1(Xi)
                  + eps * model.stencil.force(X, Bp, interior))
         sup = float(np.abs(resid).max())
         if sup <= tol:
@@ -102,13 +104,13 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
                 f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
             )
         step = resid / diag
-        X[sl] -= step
+        Xi -= step
         it += 1
         snorm = float(np.abs(step).max())
         if prev is not None and prev > 1e-13:
             rate = max(rate, snorm / prev)
         prev = snorm
-        disp = float(np.abs(X[sl] - anchor).max())
+        disp = float(np.abs(Xi - anchor).max())
         if disp >= delta0:
             raise ContractionEscape(
                 f"iterate left the trust ball: displacement {disp:.3e} "
@@ -117,14 +119,17 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
 
 
 def _check_labels(potential, values, require_minima=False):
-    dist, idx = potential.nearest_critical(values)
-    if float(np.max(dist)) > LABEL_TOL:
+    # distance mod 1 from every value to every critical point
+    dist = np.abs(np.mod(values, 1.0)[..., None] - potential.criticals)
+    dist = np.minimum(dist, 1.0 - dist)
+    worst = float(dist.min(axis=-1).max())
+    if worst > LABEL_TOL:
         raise ContinuationRefused(
-            f"labels must sit at critical points; worst offset {float(np.max(dist)):.3g}"
+            f"labels must sit at critical points; worst offset {worst:.3g}"
         )
     if require_minima:
-        kinds = np.asarray([potential.kinds[i] for i in idx.ravel()])
-        if np.any(kinds != "minimum"):
+        at_minimum = np.asarray(potential.kinds) == "minimum"
+        if not np.all(at_minimum[np.argmin(dist, axis=-1)]):
             raise ContinuationRefused("this calculus requires labels at local minima")
 
 
@@ -159,8 +164,9 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
     X = labels.values.copy()
     it, sup, rate, disp = _relax(model, eps, X, Bp, B.interior(r),
                                  labels.values, tol, max_iter)
-    return ContinuationResult(Configuration(Bp, X), it, sup, rate, disp, True,
-                              labels=labels)
+    # a converged iterate is finite: a NaN residual never meets tol
+    return ContinuationResult(Configuration._adopt(Bp, X), it, sup, rate,
+                              disp, True, labels=labels)
 
 
 def truncation_consistency(model, eps, x0, tol, M1, M2):

@@ -11,6 +11,9 @@ corner sites the energy never touches are simply carried along.
 import numpy as np
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def ball_offsets(d, r):
     """All integer offsets k with ||k||_1 <= r, in lexicographic order.
 
@@ -34,22 +37,37 @@ class Box:
     """Axis-aligned box of lattice sites with inclusive corners."""
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=int))
-        hi = np.atleast_1d(np.asarray(hi, dtype=int))
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        # tuples of Python ints, as the box methods build them, skip NumPy,
+        # which continuation would pay for twice per call; they are held to
+        # the int64 range that NumPy's conversion enforces on the rest
+        corners = lo + hi if type(lo) is tuple and type(hi) is tuple else None
+        if corners and all(type(a) is int for a in corners):
+            if min(corners) < _INT64.min or max(corners) > _INT64.max:
+                raise OverflowError("box corners must fit in 64-bit integers")
+        else:
+            lo = np.atleast_1d(np.asarray(lo, dtype=int))
+            hi = np.atleast_1d(np.asarray(hi, dtype=int))
+            if lo.ndim != 1 or hi.ndim != 1:
+                raise ValueError(
+                    "lo and hi must be integer vectors of equal length")
+            lo = tuple(int(a) for a in lo)
+            hi = tuple(int(a) for a in hi)
+        if len(lo) != len(hi):
             raise ValueError("lo and hi must be integer vectors of equal length")
-        if np.any(hi < lo):
-            raise ValueError("box corners must satisfy lo <= hi componentwise")
-        self.lo = tuple(int(a) for a in lo)
-        self.hi = tuple(int(a) for a in hi)
-        self.d = len(self.lo)
+        for a, b in zip(lo, hi):
+            if b < a:
+                raise ValueError(
+                    "box corners must satisfy lo <= hi componentwise")
+        self.lo = lo
+        self.hi = hi
+        self.d = len(lo)
 
     @classmethod
     def centered(cls, radius, d=1):
         """The box [-radius, radius]^d."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        return cls([-radius] * d, [radius] * d)
+        return cls((-radius,) * d, (radius,) * d)
 
     @property
     def shape(self):
@@ -70,9 +88,10 @@ class Box:
         return bool(np.all(site >= self.lo) and np.all(site <= self.hi))
 
     def contains_box(self, other):
-        return all(o >= l for o, l in zip(other.lo, self.lo)) and all(
-            o <= h for o, h in zip(other.hi, self.hi)
-        )
+        for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
+            if ol < l or oh > h:
+                return False
+        return True
 
     def index(self, site):
         """Array index tuple of a site; raises if outside the box."""
@@ -94,7 +113,7 @@ class Box:
         return Box(tuple(l - r for l in self.lo), tuple(h + r for h in self.hi))
 
     def shift(self, k):
-        k = np.atleast_1d(np.asarray(k, dtype=int))
+        k = np.atleast_1d(np.asarray(k, dtype=int)).tolist()
         return Box(tuple(l + a for l, a in zip(self.lo, k)),
                    tuple(h + a for h, a in zip(self.hi, k)))
 
@@ -108,12 +127,12 @@ class Box:
 
     def slice_in(self, domain):
         """Index slices selecting this box inside an enclosing domain box."""
-        if not domain.contains_box(self):
-            raise ValueError(f"box {self} not contained in domain {domain}")
-        return tuple(
-            slice(l - dl, h - dl + 1)
-            for l, h, dl in zip(self.lo, self.hi, domain.lo)
-        )
+        out = []
+        for l, h, dl, dh in zip(self.lo, self.hi, domain.lo, domain.hi):
+            if l < dl or h > dh:
+                raise ValueError(f"box {self} not contained in domain {domain}")
+            out.append(slice(l - dl, h - dl + 1))
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, Box) and self.lo == other.lo and self.hi == other.hi
@@ -135,10 +154,20 @@ class Configuration:
         if values.shape != domain.shape:
             # 1-d convenience: accept flat arrays for flat boxes
             values = values.reshape(domain.shape)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("configuration values must be finite")
         self.domain = domain
         self.values = values.copy()
+
+    @classmethod
+    def _adopt(cls, domain, values):
+        """A configuration that takes over ``values`` without a copy or a
+        check: the caller hands over a finite float array of the domain's
+        shape and keeps no other use of it."""
+        x = cls.__new__(cls)
+        x.domain = domain
+        x.values = values
+        return x
 
     @property
     def d(self):

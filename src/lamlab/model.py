@@ -37,7 +37,8 @@ SAMPLE_SEED = 0x5EED
 def _as_vectorized(f):
     """Wrap a scalar callable so it accepts arrays transparently."""
     def g(s):
-        s = np.asarray(s, dtype=float)
+        if type(s) is not np.ndarray or s.dtype != np.float64:
+            s = np.asarray(s, dtype=float)
         out = np.asarray(f(s), dtype=float)
         if out.shape != s.shape:
             out = np.broadcast_to(out, s.shape).copy()
@@ -138,14 +139,6 @@ class Potential:
     @property
     def maxima(self):
         return self.criticals[[k == "maximum" for k in self.kinds]]
-
-    def nearest_critical(self, x):
-        """Distance mod 1 from x to the critical set, with the index."""
-        x = np.mod(np.asarray(x, dtype=float), 1.0)
-        d = np.abs(x[..., None] - self.criticals[None, ...])
-        d = np.minimum(d, 1.0 - d)
-        idx = np.argmin(d, axis=-1)
-        return np.min(d, axis=-1), idx
 
 
 def builtin_n_well(N):

@@ -97,21 +97,27 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     Bp = window.padded(r)
 
     # one genericity pass covering all members: the sampled arguments are
-    # s + w*(k + i) for members k and sites i, that is s + w*i over the
+    # s + w*(k + i) for members k and sites i, that is s + w*j over the
     # padded window stretched by n_samples sites to the right
-    s = generic_parameter(label_hull, [w],
-                          Box(Bp.lo, (Bp.hi[0] + n_samples,)), s0)
+    line = Box(Bp.lo, (Bp.hi[0] + n_samples,))
+    s = generic_parameter(label_hull, [w], line, s0)
 
-    # member k's labels are phi(s_k + w*i), as sample_config would give
-    # them; the site arguments w*i are computed once for all members
-    args = Bp.sites() @ np.asarray([w])
+    # one hull sample over the stretched window; member k's labels are its
+    # slice from site Bp.lo + k. sample_config at s_k = s + w*k would
+    # compute each argument as s_k + w*i, which differs from s + w*j only
+    # by rounding (about 1e-13), while generic_parameter keeps every
+    # s + w*j more than RESONANCE_TOL from a breakpoint: both read the
+    # same plateau, so the labels are the same bits
+    labels = label_hull.value(s + line.sites() @ np.asarray([w]))
+    size = Bp.size
     at0 = -Bp.lo[0]
     x0s = np.empty(n_samples + 1)
     xm1s = np.empty(n_samples + 1)
     s_values = s + w * np.arange(n_samples + 1)
     for k in range(n_samples + 1):
-        labels = Configuration(Bp, label_hull.value(s_values[k] + args))
-        res = quasi_newton_continue(model, eps, labels, window, tol=newton_tol)
+        res = quasi_newton_continue(
+            model, eps, Configuration(Bp, labels[k:k + size]), window,
+            tol=newton_tol)
         x0s[k] = res.solution.values[at0]
         xm1s[k] = res.solution.values[at0 - 1]
 

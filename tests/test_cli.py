@@ -336,6 +336,7 @@ def test_huge_integers_exit_1(tmp_path, capsys, key):
     exits_with_one_line(
         capsys, ["continue", "--spec", str(spec), "--out", str(tmp_path / "o")],
         1)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cantorus_failures_keep_their_exit_codes(tmp_path, capsys):
@@ -470,6 +471,10 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": {},
                   "omega": None, "p": None,
                   "model": {"stencil": {"kind": "harmonic", "d": 2}}}),
+    # neither n nor window_radius in three dimensions
+    ("measure", {"model": {"stencil": {"kind": "harmonic", "d": 3}},
+                 "omega": ["golden", "sqrt2-1", "sqrt3-1"],
+                 "window_radius": None}),
 ])
 def test_refused_before_the_manifest(tmp_path, capsys, command, change):
     body = {k: v for k, v in dict(BASE, **change).items() if v is not None}
@@ -479,10 +484,22 @@ def test_refused_before_the_manifest(tmp_path, capsys, command, change):
     spec = write_spec(tmp_path, "s.json", body)
     err = exits_with_one_line(
         capsys, [command, "--spec", spec, "--out", str(out)], 1)
-    assert not (out / "manifest.json").exists()
+    # not even the run directory is made
+    assert not out.exists()
     assert "np.float64" not in err and "-mode spec keys" not in err
     if change.get("omega") == 0.5:
         assert err == "error: rotation component 0.5 is within 1e-09 of 1/2\n"
+    if body["model"].get("stencil", {}).get("d") == 3:
+        assert err == "error: no default ball radius in this dimension; pass n\n"
+
+
+def test_out_that_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    spec = write_spec(tmp_path, "s.json", BASE)
+    exits_with_one_line(capsys, ["continue", "--spec", spec, "--out",
+                                 str(out)], 1)
+    assert out.read_text() == "kept"
 
 
 def test_largest_covered_density_radius_runs(tmp_path):
@@ -525,7 +542,7 @@ def test_cantorus_modes_refuse_each_others_keys(tmp_path, capsys, mode,
         capsys, ["cantorus", "--spec", spec, "--out", str(out)], 1)
     assert err == (f"error: unknown cantorus {mode}-mode spec keys: "
                    f"{sorted(extra)}\n")
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 # the exit code of every error main catches, as errors.py and the README

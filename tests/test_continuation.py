@@ -1,27 +1,39 @@
 """Continuation, window energies, defects, and lamination assembly."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from test_model import range2_stencil
 
 from lamlab import (
+    GOLDEN_MEAN,
     Box,
     Configuration,
     ContinuationRefused,
+    ContinuationResult,
     ContractionEscape,
+    InteractionStencil,
+    LamlabError,
     Model,
     NoConvergence,
     action,
+    build_model,
+    builtin_harmonic_stencil,
+    builtin_n_well,
     defect,
     defect_subadditivity_check,
     continue_lamination,
     generic_parameter,
     maximum_breaks_order,
+    potential_from_table,
     quasi_newton_continue,
     residual_field,
     sample_config,
     step_hull_from_simplex,
     truncation_consistency,
 )
+from lamlab.continuation import LABEL_TOL, MAX_ITER, _refuse_coupling
 
 
 def hull_start(model, omega, p, box, s0=0.37):
@@ -285,3 +297,164 @@ def test_minimum_labels_preserve_order(model1, golden):
     window = Box.centered(16, 1)
     assert maximum_breaks_order(model1, eps, golden, window,
                                 critical_kind="minimum") is None
+
+
+# -- the continuation as first written, kept as the bit-identity reference --
+
+def reference_relax(model, eps, X, Bp, interior, labels, tol, max_iter):
+    # re-slices X on every sweep
+    delta0 = model.constants.delta0
+    sl = interior.slice_in(Bp)
+    anchor = labels[sl]
+    diag = model.potential.d2(anchor)
+    rate = 0.0
+    prev = None
+    disp = 0.0
+    it = 0
+    while True:
+        resid = (model.potential.d1(X[sl])
+                 + eps * model.stencil.force(X, Bp, interior))
+        sup = float(np.abs(resid).max())
+        if sup <= tol:
+            return it, sup, rate, disp
+        if it >= max_iter:
+            raise NoConvergence(
+                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
+            )
+        step = resid / diag
+        X[sl] -= step
+        it += 1
+        snorm = float(np.abs(step).max())
+        if prev is not None and prev > 1e-13:
+            rate = max(rate, snorm / prev)
+        prev = snorm
+        disp = float(np.abs(X[sl] - anchor).max())
+        if disp >= delta0:
+            raise ContractionEscape(
+                f"iterate left the trust ball: displacement {disp:.3e} "
+                f">= delta0 {delta0:.3e}"
+            )
+
+
+def reference_check_labels(potential, values):
+    # per-site distances to the nearest critical point, then their maximum
+    x = np.mod(np.asarray(values, dtype=float), 1.0)
+    d = np.abs(x[..., None] - potential.criticals[None, ...])
+    d = np.minimum(d, 1.0 - d)
+    dist = np.min(d, axis=-1)
+    if float(np.max(dist)) > LABEL_TOL:
+        raise ContinuationRefused(
+            f"labels must sit at critical points; worst offset "
+            f"{float(np.max(dist)):.3g}")
+
+
+def reference_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
+    # three copies: the restricted labels, the iterate and the solution
+    _refuse_coupling(model.constants, eps, "eps0")
+    r = model.stencil.range
+    Bp = B.padded(r)
+    if not x0.domain.contains_box(Bp):
+        raise ValueError("labels must cover the collar around the window")
+    labels = x0.restrict(Bp)
+    reference_check_labels(model.potential, labels.values)
+    X = labels.values.copy()
+    it, sup, rate, disp = reference_relax(model, eps, X, Bp, B.interior(r),
+                                          labels.values, tol, max_iter)
+    return ContinuationResult(Configuration(Bp, X), it, sup, rate, disp, True,
+                              labels=labels)
+
+
+def assert_same_result(got, want):
+    for f in fields(ContinuationResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, Configuration):
+            assert a.domain == b.domain, f.name
+            assert np.array_equal(a.values, b.values), f.name
+        else:
+            assert a == b, f.name
+
+
+def outcome(continue_, *args, **kwargs):
+    """The result of a continuation, or the type and text of its error."""
+    try:
+        return continue_(*args, **kwargs)
+    except (ValueError, LamlabError) as exc:
+        return type(exc), str(exc)
+
+
+OMEGAS = {1: [GOLDEN_MEAN], 2: [np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0],
+          3: [GOLDEN_MEAN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0]}
+
+
+def reference_case(name):
+    """Model, omega, window and weights of one bit-identity case."""
+    well2 = builtin_n_well(2)
+    potential, stencil, d, radius = {
+        "harmonic-1d": (well2, builtin_harmonic_stencil(1), 1, 12),
+        "harmonic-2d": (well2, builtin_harmonic_stencil(2), 2, 5),
+        "harmonic-3d": (well2, builtin_harmonic_stencil(3), 3, 3),
+        "table-1d": (potential_from_table(
+            builtin_n_well(3).value(np.arange(64) / 64.0)),
+            builtin_harmonic_stencil(1), 1, 10),
+        "range2-1d": (well2, range2_stencil(1), 1, 10),
+        "range2-2d": (well2, range2_stencil(2), 2, 5),
+    }[name]
+    omega = np.asarray(OMEGAS[d])
+    model = build_model(potential, stencil, omega=omega)
+    n = potential.minima.size
+    p = np.arange(1, n + 1) / (n * (n + 1) / 2.0)
+    return model, omega, Box.centered(radius, d), p
+
+
+@pytest.mark.parametrize("name", ["harmonic-1d", "harmonic-2d", "harmonic-3d",
+                                  "table-1d", "range2-1d", "range2-2d"])
+def test_continuation_equals_the_reference_bit_for_bit(name):
+    model, omega, window, p = reference_case(name)
+    x0 = hull_start(model, omega, p, window.padded(model.stencil.range))
+    eps1 = model.constants.eps1
+    for eps in (0.0, eps1 / 4.0, eps1 / 2.0, eps1):
+        got = quasi_newton_continue(model, eps, x0, window)
+        assert got.iterations > 0 or eps == 0.0
+        assert_same_result(got, reference_continue(model, eps, x0, window))
+        # the solution owns its values: the labels stay as they were
+        assert not np.shares_memory(got.solution.values, got.labels.values)
+        assert not np.shares_memory(got.solution.values, x0.values)
+
+    # every refusal keeps its type and its message
+    eps = eps1 / 2.0
+    tight = Model(model.potential, model.stencil,
+                  model.constants.replace(delta0=1e-6))
+    off = Configuration(x0.domain, x0.values + 0.07)
+    cases = [
+        (model, eps, x0, window, {"tol": 1e-30}),
+        (tight, eps, x0, window, {}),
+        (model, eps, off, window, {}),
+        (model, eps, x0.restrict(window), window, {}),
+        (model, 1.5 * model.constants.eps0, x0, window, {}),
+        (model, -1e-5, x0, window, {}),
+    ]
+    want_types = [NoConvergence, ContractionEscape, ContinuationRefused,
+                  ValueError, ContinuationRefused, ValueError]
+    for (m, e, x, B, kw), want_type in zip(cases, want_types):
+        got = outcome(quasi_newton_continue, m, e, x, B, **kw)
+        assert got == outcome(reference_continue, m, e, x, B, **kw)
+        assert got[0] is want_type
+
+
+def test_one_continuation_makes_one_force_call_per_residual(monkeypatch,
+                                                            model1, golden):
+    # the trace's model.force_calls reads sweeps + 1 per continuation
+    calls = []
+    force = InteractionStencil.force
+
+    def counted(self, *args):
+        calls.append(1)
+        return force(self, *args)
+
+    monkeypatch.setattr(InteractionStencil, "force", counted)
+    window = Box.centered(10, 1)
+    x0 = hull_start(model1, golden, [0.3, 0.7], window.padded(1))
+    for eps in (0.0, model1.constants.eps1 / 2.0, model1.constants.eps1):
+        calls.clear()
+        res = quasi_newton_continue(model1, eps, x0, window)
+        assert len(calls) == res.iterations + 1

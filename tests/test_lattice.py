@@ -59,8 +59,57 @@ def test_box_intersect_and_slice():
 
 
 def test_slice_in_requires_containment():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         Box([-3], [3]).slice_in(Box([0], [2]))
+    assert str(caught.value) == ("box Box(lo=(-3,), hi=(3,)) not contained "
+                                 "in domain Box(lo=(0,), hi=(2,))")
+    # every axis is checked, also past the first one that fits
+    with pytest.raises(ValueError):
+        Box((0, -1), (2, 2)).slice_in(Box((0, 0), (2, 2)))
+    assert not Box((0, 0), (2, 2)).contains_box(Box((0, 0), (2, 3)))
+    assert Box((0, 0), (2, 3)).contains_box(Box((1, 0), (2, 3)))
+
+
+@pytest.mark.parametrize("lo,hi", [((-2,), (4,)), ((-2, 0, 5), (4, 3, 5))])
+def test_python_and_numpy_int_corners_build_equal_boxes(lo, hi):
+    boxes = [Box(lo, hi), Box(list(lo), list(hi)),
+             Box(np.asarray(lo), np.asarray(hi)),
+             Box(tuple(np.int64(a) for a in lo), tuple(np.int32(a) for a in hi))]
+    for B in boxes:
+        assert B == boxes[0] and hash(B) == hash(boxes[0])
+        assert all(type(a) is int for a in B.lo + B.hi)
+        assert B.d == len(lo) and B.shape == boxes[0].shape
+    # boxes built by the box methods agree with boxes built from arrays
+    B = boxes[0]
+    assert B.padded(2) == Box(np.asarray(lo) - 2, np.asarray(hi) + 2)
+    assert B.shift(np.ones(len(lo), dtype=np.int64)) == \
+        Box(np.asarray(lo) + 1, np.asarray(hi) + 1)
+    assert B.intersect(B.padded(1)) == B
+
+
+@pytest.mark.parametrize("lo,hi,message", [
+    ((0, 1), (2,), "lo and hi must be integer vectors of equal length"),
+    ((0, 3), (2, 2), "box corners must satisfy lo <= hi componentwise"),
+    ((1,), (0,), "box corners must satisfy lo <= hi componentwise"),
+])
+def test_box_refusals_are_the_same_for_every_corner_type(lo, hi, message):
+    for args in ((lo, hi), (list(lo), list(hi)),
+                 (np.asarray(lo), np.asarray(hi))):
+        with pytest.raises(ValueError) as caught:
+            Box(*args)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("lo,hi", [((0,), (2**63,)), ((-2**63 - 1, 0), (0, 0)),
+                                   ((0,), (10**400,))])
+def test_box_corners_beyond_int64_overflow_for_every_corner_type(lo, hi):
+    for args in ((lo, hi), (list(lo), list(hi))):
+        with pytest.raises(OverflowError):
+            Box(*args)
+    with pytest.raises(OverflowError):
+        Box.centered(hi[0] or -lo[0], len(lo))
+    edge = Box((-2**63,), (2**63 - 1,))
+    assert edge == Box([-2**63], [2**63 - 1])
 
 
 def test_configuration_shape_and_finite_checks():

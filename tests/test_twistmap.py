@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from lamlab import (
+    GOLDEN_MEAN,
     Box,
     CheckInconclusive,
     Configuration,
     ContinuationRefused,
     ContractionEscape,
+    HullFunction,
     Model,
     NoConvergence,
     TwistOrbit,
     build_model,
     builtin_harmonic_stencil,
+    builtin_n_well,
     chaotic_momentum_orbit,
     extract_cantorus,
     quasi_newton_continue,
@@ -21,6 +24,7 @@ from lamlab import (
     sample_config,
     standard_map_step,
     step_hull_from_simplex,
+    twistmap,
 )
 
 
@@ -128,6 +132,20 @@ def per_member_cantorus(model, eps, phi, omega, window, n_samples, s,
     return points, s_values[:n_samples], float(errs[worst]), worst
 
 
+def assert_cantorus_equals_reference(model, p, omega, s0, radius):
+    eps = model.constants.eps1 / 2.0
+    phi = step_hull_from_simplex(p, model.potential.minima)
+    window = Box.centered(radius, 1)
+    out = extract_cantorus(model, eps, phi, omega, window, 40, s0=s0)
+    points, s_values, err, worst = per_member_cantorus(
+        model, eps, phi, omega, window, 40, float(out.s_values[0]))
+    assert np.array_equal(out.points, points)
+    assert np.array_equal(out.s_values, s_values)
+    assert out.invariance_error == err
+    assert out.worst_index == worst
+    assert out.mean_momentum == float(np.mean(points[:, 1]))
+
+
 @pytest.mark.parametrize("wells,p,s0,radius", [
     (1, [1.0], 0.5, 10),
     (1, [1.0], 0.0658, 16),
@@ -137,17 +155,47 @@ def per_member_cantorus(model, eps, phi, omega, window, n_samples, s,
 def test_extract_cantorus_equals_per_member_reference(
         model1, model1_single, golden, wells, p, s0, radius):
     model = model1_single if wells == 1 else model1
-    eps = model.constants.eps1 / 2.0
-    phi = step_hull_from_simplex(p, model.potential.minima)
-    window = Box.centered(radius, 1)
-    out = extract_cantorus(model, eps, phi, golden, window, 40, s0=s0)
-    points, s_values, err, worst = per_member_cantorus(
-        model, eps, phi, golden, window, 40, float(out.s_values[0]))
-    assert np.array_equal(out.points, points)
-    assert np.array_equal(out.s_values, s_values)
-    assert out.invariance_error == err
-    assert out.worst_index == worst
-    assert out.mean_momentum == float(np.mean(points[:, 1]))
+    assert_cantorus_equals_reference(model, p, golden, s0, radius)
+
+
+@pytest.mark.parametrize("wells,p,omega,s0", [
+    (1, [1.0], "sqrt2-1", 0.31),
+    (2, [0.3, 0.7], "sqrt3-1", 0.0),
+    (2, [0.15, 0.85], "sqrt2-1", 0.999),
+    (3, [0.2, 0.5, 0.3], "golden", 0.77),
+    (3, [0.4, 0.15, 0.45], "sqrt2-1", 0.123456),
+    (3, [0.35, 0.35, 0.3], "sqrt3-1", 0.5),
+])
+def test_extract_cantorus_reference_across_omegas_and_wells(wells, p, omega,
+                                                            s0):
+    omega = np.asarray([{"golden": GOLDEN_MEAN, "sqrt2-1": np.sqrt(2.0) - 1.0,
+                         "sqrt3-1": np.sqrt(3.0) - 1.0}[omega]])
+    model = build_model(builtin_n_well(wells), builtin_harmonic_stencil(1),
+                        omega=omega)
+    for radius in (4, 16):
+        assert_cantorus_equals_reference(model, p, omega, s0, radius)
+
+
+def test_extract_cantorus_samples_the_hull_once(monkeypatch, model1,
+                                               golden):
+    # one hull sample covers every member; each member is one continuation
+    counts = {"value": 0, "continue": 0}
+    value = HullFunction.value
+
+    def counted_value(self, s):
+        counts["value"] += 1
+        return value(self, s)
+
+    def counted_continue(*args, **kwargs):
+        counts["continue"] += 1
+        return quasi_newton_continue(*args, **kwargs)
+
+    monkeypatch.setattr(HullFunction, "value", counted_value)
+    monkeypatch.setattr(twistmap, "quasi_newton_continue", counted_continue)
+    phi = step_hull_from_simplex([0.3, 0.7], model1.potential.minima)
+    extract_cantorus(model1, model1.constants.eps1 / 2.0, phi, golden,
+                     Box.centered(8, 1), 30)
+    assert counts == {"value": 1, "continue": 31}
 
 
 def first_member_failure(model, eps, phi, omega, window, n_samples, s,
