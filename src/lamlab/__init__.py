@@ -15,7 +15,7 @@ from .continuation import (ContinuationResult, DefectResult, LaminationResult,
 from .errors import (CheckInconclusive, ContinuationRefused, ContractionEscape,
                      LaminationBroken, LamlabError, ModelInvalid, NoConvergence,
                      NotBirkhoff, SchemaError, UnclassifiableSite)
-from .hull import (GOLDEN_MEAN, HullFunction, check_irrational, empirical_hull,
+from .hull import (GOLDEN_MEAN, HullFunction, check_irrational,
                    generic_parameter, hull_distance_mod_translation,
                    normalize_simplex, sample_config, step_hull_from_simplex)
 from .lattice import Box, Configuration, ball_offsets, l1_norms
@@ -43,7 +43,7 @@ __all__ = [
     "check_comparison_principle", "check_irrational",
     "check_minmax_inequality", "chaotic_momentum_orbit",
     "continue_lamination", "defect", "defect_subadditivity_check",
-    "empirical_hull", "estimate_constants", "extract_cantorus",
+    "estimate_constants", "extract_cantorus",
     "find_criticals", "generic_parameter", "hull_distance_mod_translation",
     "l1_norms", "maximum_breaks_order", "measure_from_density",
     "measure_from_hull", "meet_join", "normalize_simplex", "osc_bound",

@@ -658,7 +658,8 @@ def main(argv=None):
         elif args.command != "verify":
             raise SchemaError("this command needs --out <dir>")
         return _COMMANDS[args.command](spec, out, seed, threads, args.tol)
-    except (LamlabError, ValueError, OverflowError, OSError) as exc:
+    except (LamlabError, ValueError, OverflowError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NoConvergence):
             return EXIT_NO_CONVERGENCE

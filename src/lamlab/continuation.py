@@ -423,9 +423,7 @@ def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum",
         diff = (shifted.solution.values[sl] - base.solution.values[sl]).ravel()
         lo_at, hi_at = int(np.argmin(diff)), int(np.argmax(diff))
         lo, hi = float(diff[lo_at]), float(diff[hi_at])
-        broken = (phase > 0 and lo < -tol and hi > tol) or \
-                 (phase < 0 and hi > tol and lo < -tol)
-        if broken:
+        if lo < -tol and hi > tol:
             return {
                 "k": k,
                 "l": l,

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotBirkhoff
 from .lattice import Box, Configuration
 
 GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -210,110 +209,33 @@ def generic_parameter(phi, omega, window, s0, clearance=RESONANCE_TOL,
     raise ValueError("could not find a generic parameter near s0")
 
 
-def empirical_hull(config, omega):
-    """Recover a hull from a configuration sampled along omega.
+def _inverse(phi, y):
+    """The generalized inverse of a hull at y off its plateau values.
 
-    Each site i contributes the point (u_i, x_i - k_i) with
-    k_i = ceil(omega . i) - 1, so u_i lies in (0, 1]. For a genuine hull
-    sample the points are nondecreasing in u up to the translation of the
-    unknown parameter, so sorting and collapsing equal levels rebuilds the
-    step function. Order violations raise NotBirkhoff with the witnessing
-    pair of sites.
+    It is t_{m-1} on (v_{m-1}, v_m) and t_M - 1 below v_1; one period
+    up in y adds one. Step t_M catches a y - n that rounds above v_M.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    sites = config.domain.sites()
-    t = sites @ omega
-    k = np.ceil(t) - 1.0
-    u = t - k
-    y = config.values.ravel() - k
-
-    order = np.argsort(u, kind="stable")
-    u, y, sites = u[order], y[order], sites[order]
-
-    # collapse coincident arguments; they must agree in value
-    keep_u, keep_y, keep_site = [u[0]], [y[0]], [sites[0]]
-    for i in range(1, u.size):
-        if u[i] - keep_u[-1] <= BREAKPOINT_SNAP:
-            if abs(y[i] - keep_y[-1]) > 1e-9:
-                raise NotBirkhoff(
-                    "two sites sample the same argument with different values",
-                    witness=(tuple(keep_site[-1]), tuple(sites[i])),
-                )
-            continue
-        keep_u.append(u[i])
-        keep_y.append(y[i])
-        keep_site.append(sites[i])
-    u = np.asarray(keep_u)
-    y = np.asarray(keep_y)
-
-    for i in range(1, u.size):
-        if y[i] < y[i - 1] - 1e-9:
-            raise NotBirkhoff(
-                "values decrease along the circle order",
-                witness=(tuple(keep_site[i - 1]), tuple(keep_site[i])),
-            )
-
-    if y[-1] - y[0] > 1.0 + 1e-9:
-        raise NotBirkhoff(
-            "values span more than one period across the window",
-            witness=(tuple(keep_site[0]), tuple(keep_site[-1])),
-        )
-
-    # collapse near-equal values into plateaus; each plateau keeps its
-    # largest argument as the breakpoint (left continuity)
-    breakpoints, values = [], []
-    start = 0
-    for i in range(1, u.size + 1):
-        if i == u.size or y[i] - y[start] > 1e-9:
-            breakpoints.append(u[i - 1])
-            values.append(y[start])
-            start = i
-    breakpoints = np.asarray(breakpoints)
-    values = np.asarray(values)
-
-    # the site at the origin contributes u = 1 exactly, so when the bottom
-    # level is one below the top one the two are the same plateau seen
-    # across the period; drop the duplicated top entry
-    if values.size > 1 and values[-1] - values[0] >= 1.0 - 1e-9:
-        breakpoints = breakpoints[:-1]
-        values = values[:-1]
-    return HullFunction(breakpoints, values)
-
-
-def _l1_shift_integral(a, b, t):
-    """Exact integral over one period of |a(s + t) - b(s)|.
-
-    Both functions are constant between consecutive cut points, so the
-    integral is a finite sum of cell midpoint evaluations.
-    """
-    cuts = {0.0, 1.0}
-    for tb in b.breakpoints:
-        cuts.add(float(np.mod(tb, 1.0)))
-    for ta in a.breakpoints:
-        cuts.add(float(np.mod(ta - t, 1.0)))
-    cuts = sorted(cuts)
-    total = 0.0
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        if c1 - c0 <= 1e-15:
-            continue
-        mid = 0.5 * (c0 + c1)
-        total += abs(a.value(mid + t) - b.value(mid)) * (c1 - c0)
-    return total
+    bp, vals = phi.breakpoints, phi.values
+    n = np.ceil(y - vals[-1])
+    steps = np.concatenate([[bp[-1] - 1.0], bp])
+    return steps[np.searchsorted(vals, y - n)] + n
 
 
 def hull_distance_mod_translation(a, b):
     """L1 distance between hulls modulo the translation family a(. + t).
 
-    The integral is piecewise linear in the shift with kinks exactly where
-    breakpoints of the two hulls align, so the minimum over all real
-    shifts is attained on the finite kink set (taken in two consecutive
-    periods to cover the integer offsets that matter for normalized
-    hulls).
+    Swapping the axes keeps the area between two monotone graphs, so
+    int_0^1 |a(s + t) - b(s)| ds = int_0^1 |a^-1(y) - t - b^-1(y)| dy.
+    D = a^-1 - b^-1 is constant on the cells between the plateau values
+    of both hulls taken mod 1; the best shift t is the median of D
+    weighted by cell length, and the distance is sum w |D - t|.
     """
-    candidates = {0.0, -1.0}
-    for ta in a.breakpoints:
-        for tb in b.breakpoints:
-            t0 = float(np.mod(ta - tb, 1.0))
-            candidates.add(t0)
-            candidates.add(t0 - 1.0)
-    return min(_l1_shift_integral(a, b, t) for t in sorted(candidates))
+    cuts = np.sort(np.mod(np.concatenate([a.values, b.values]), 1.0))
+    edges = np.append(cuts, cuts[0] + 1.0)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    d = _inverse(a, mid) - _inverse(b, mid)
+    order = np.argsort(d)
+    d, w = d[order], np.diff(edges)[order]
+    cum = np.cumsum(w)
+    t = d[np.searchsorted(cum, 0.5 * cum[-1])]
+    return float(np.sum(w * np.abs(d - t)))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import UnclassifiableSite
 from .hull import generic_parameter, sample_config, step_hull_from_simplex
 from .lattice import Box, l1_norms
@@ -196,8 +197,6 @@ def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):
     up to eps1, where continuation keeps every site inside its
     classification interval.
     """
-    from .continuation import _refuse_coupling, quasi_newton_continue
-
     cst = model.constants
     _refuse_coupling(cst, eps, "eps1")
     if n is None:

@@ -114,9 +114,10 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     x0s = np.empty(n_samples + 1)
     xm1s = np.empty(n_samples + 1)
     s_values = s + w * np.arange(n_samples + 1)
+    # a view, not a copy: restrict in quasi_newton_continue copies it
     for k in range(n_samples + 1):
         res = quasi_newton_continue(
-            model, eps, Configuration(Bp, labels[k:k + size]), window,
+            model, eps, Configuration._adopt(Bp, labels[k:k + size]), window,
             tol=newton_tol)
         x0s[k] = res.solution.values[at0]
         xm1s[k] = res.solution.values[at0 - 1]

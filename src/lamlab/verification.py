@@ -18,7 +18,8 @@ from .hull import (GOLDEN_MEAN, generic_parameter, sample_config,
                    step_hull_from_simplex)
 from .lattice import Box, Configuration
 from .measure import measure_from_hull, vague_distance
-from .model import SAMPLE_SEED, builtin_n_well
+from .model import (SAMPLE_SEED, build_model, builtin_harmonic_stencil,
+                    builtin_n_well, estimate_constants)
 
 
 @dataclass
@@ -44,8 +45,6 @@ def _sampled_labels(model, rng, window):
 
 
 def check_constants_envelope(model, tol=1e-12):
-    from .model import estimate_constants
-
     cst = model.constants
     redo = estimate_constants(model.potential, model.stencil, cst.osc_bound_K,
                               k=cst.contraction_k)
@@ -229,7 +228,6 @@ CHECKS = [
 def run_suite(model=None, seed=0, overrides=None):
     """Run every check; returns a list of CheckRow."""
     if model is None:
-        from .model import build_model, builtin_harmonic_stencil
         model = build_model(builtin_n_well(2), builtin_harmonic_stencil(1),
                             omega=[GOLDEN_MEAN])
     overrides = overrides or {}

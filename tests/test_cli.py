@@ -493,6 +493,19 @@ def test_refused_before_the_manifest(tmp_path, capsys, command, change):
         assert err == "error: no default ball radius in this dimension; pass n\n"
 
 
+def test_window_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 2**40 fits in int64, but its sites alone ask for 16 TiB at once
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "s.json", dict(BASE, window_radius=2**40))
+    exits_with_one_line(capsys, ["continue", "--spec", spec, "--out",
+                                 str(out)], 1)
+    assert not out.exists()
+    lam = write_spec(tmp_path, "l.json",
+                     dict(BASE, window_radius=2**40, n_samples=2))
+    exits_with_one_line(capsys, ["lamination", "--spec", lam, "--out",
+                                 str(tmp_path / "l")], 1)
+
+
 def test_out_that_is_a_file_exits_1(tmp_path, capsys):
     out = tmp_path / "o"
     out.write_text("kept")

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lamlab
-from lamlab import (Box, Configuration, GOLDEN_MEAN, HullFunction,
-                    NotBirkhoff, check_irrational, empirical_hull,
+from lamlab import (Box, GOLDEN_MEAN, HullFunction, check_irrational,
                     generic_parameter, hull_distance_mod_translation,
                     normalize_simplex, sample_config, step_hull_from_simplex)
 
@@ -145,30 +144,10 @@ def test_generic_parameter_keeps_clearance():
     assert float(np.min(gaps)) > 1e-9
 
 
-def test_empirical_hull_round_trip():
-    phi = step_hull_from_simplex([0.25, 0.4, 0.35], [0.0, 1.0 / 3, 2.0 / 3])
-    window = Box.centered(250, 1)
-    s = generic_parameter(phi, [GOLDEN_MEAN], window, 0.42)
-    x = sample_config(phi, [GOLDEN_MEAN], s, window)
-    emp = empirical_hull(x, [GOLDEN_MEAN])
-    assert emp.breakpoints.size == 3
-    assert np.allclose(np.sort(np.mod(emp.values, 1.0)),
-                       [1e-16, 1.0 / 3, 2.0 / 3], atol=1e-9)
-    assert hull_distance_mod_translation(phi, emp) < 0.02
-    masses = sorted(m for _, m in emp.plateau_measures())
-    assert np.allclose(masses, [0.25, 0.35, 0.4], atol=0.02)
-
-
-def test_empirical_hull_rejects_disordered_values():
-    phi = step_hull_from_simplex([0.5, 0.5], [0.0, 0.5])
-    window = Box.centered(40, 1)
-    s = generic_parameter(phi, [GOLDEN_MEAN], window, 0.3)
-    x = sample_config(phi, [GOLDEN_MEAN], s, window)
-    vals = x.values.copy()
-    vals[10], vals[30] = vals[30], vals[10]
-    with pytest.raises(NotBirkhoff) as err:
-        empirical_hull(Configuration(window, vals), [GOLDEN_MEAN])
-    assert err.value.witness is not None
+def test_plateau_measures_without_pinned_lengths():
+    # lengths come from breakpoint differences, the first wrapping below t_1
+    phi = HullFunction([0.25, 1.0], [0.5, 1.0])
+    assert phi.plateau_measures() == [(0.5, 0.25), (1.0, 0.75)]
 
 
 def test_hull_distance_frozen_pure_wells():
@@ -206,6 +185,61 @@ def test_hull_distance_against_riemann_oracle():
         assert got >= approx - 2.0 * 2.0 / 400 - 8.0 / 6001
         assert got == pytest.approx(hull_distance_mod_translation(b, a),
                                     abs=1e-12)
+
+
+def test_hull_distance_best_shift_beyond_one_period():
+    # a = 0.1 and b = 0.95 on (0, 1]: a(s + 1) = 1.1 is 0.15 from b
+    a = HullFunction([1.0], [0.1])
+    b = HullFunction([1.0], [0.95])
+    assert hull_distance_mod_translation(a, b) == pytest.approx(0.15, abs=1e-12)
+    assert hull_distance_mod_translation(b, a) == pytest.approx(0.15, abs=1e-12)
+
+
+def test_hull_distance_ignores_whole_period_offsets():
+    # raising every value by 2 is the translation by 2
+    a = step_hull_from_simplex([0.2, 0.3, 0.5], [0.0, 0.29, 0.61])
+    b = HullFunction(a.breakpoints, a.values + 2.0)
+    assert hull_distance_mod_translation(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert hull_distance_mod_translation(b, a) == pytest.approx(0.0, abs=1e-12)
+
+
+def shifted_l1(a, b, t):
+    # exact: a(. + t) and b are constant between these cuts
+    cuts = np.unique(np.concatenate([[0.0, 1.0], np.mod(b.breakpoints, 1.0),
+                                     np.mod(a.breakpoints - t, 1.0)]))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    return float(np.sum(np.diff(cuts) * np.abs(a.value(mid + t) - b.value(mid))))
+
+
+def brute_distance(a, b, periods=6):
+    # shifted_l1 is convex and piecewise linear in t with kinks where a
+    # breakpoint of a(. + t) meets one of b, in every period; scan them all
+    base = np.mod(np.subtract.outer(a.breakpoints, b.breakpoints).ravel(), 1.0)
+    shifts = np.add.outer(np.arange(-periods, periods + 1), base).ravel()
+    return min(shifted_l1(a, b, t) for t in shifts)
+
+
+def random_hull(rng):
+    # normalized, then moved by up to two periods
+    m = int(rng.integers(1, 5))
+    bp = np.sort(rng.choice(np.arange(1, 100), m, replace=False)) / 100.0
+    vals = np.sort(rng.choice(np.arange(1, 100), m, replace=False)) / 100.0
+    return HullFunction(bp, vals + rng.integers(-2, 3))
+
+
+def test_hull_distance_symmetric_and_minimal_over_wide_shifts():
+    rng = np.random.default_rng(5)
+    # plateau values that meet mod 1 only up to rounding
+    pairs = [(HullFunction([1.0], [-3.52]),
+              HullFunction([0.5, 1.0], [-5.52, -5.02])),
+             (HullFunction([1.0], [7.82]),
+              HullFunction([0.5, 1.0], [3.32, 3.82]))]
+    pairs += [(random_hull(rng), random_hull(rng)) for _ in range(40)]
+    for a, b in pairs:
+        got = hull_distance_mod_translation(a, b)
+        assert got == pytest.approx(hull_distance_mod_translation(b, a),
+                                    abs=1e-12)
+        assert got == pytest.approx(brute_distance(a, b), abs=1e-12)
 
 
 def test_check_irrational():
