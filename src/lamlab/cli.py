@@ -45,6 +45,11 @@ EXIT_NO_CONVERGENCE = 3
 _REFUSALS = (ContinuationRefused, ContractionEscape, LaminationBroken,
              NotBirkhoff, CheckInconclusive, UnclassifiableSite)
 
+# the most sites a padded window may have, refused before anything is
+# allocated or written; far above every window the tests and the
+# benchmark run
+MAX_WINDOW_SITES = 2**26
+
 OMEGA_NAMES = {
     "golden": GOLDEN_MEAN,
     "sqrt2-1": float(np.sqrt(2.0) - 1.0),
@@ -226,7 +231,12 @@ def _parse_eps(raw, constants):
 def _parse_window(spec, stencil, default=None):
     radius = _integer(spec.get("window_radius", default), "window_radius",
                       stencil.range + 1)
-    return Box.centered(radius, stencil.d)
+    window = Box.centered(radius, stencil.d)
+    sites = math.prod(window.padded(stencil.range).shape)
+    if sites > MAX_WINDOW_SITES:
+        raise SchemaError(f"window_radius {radius} needs {sites} sites with "
+                          f"its collar; at most {MAX_WINDOW_SITES} are allowed")
+    return window
 
 
 def _parse_weights(p, n):
@@ -300,28 +310,66 @@ def _manifest(out, command, effective, model, seed, tol):
     _write_json(out / "manifest.json", body)
 
 
-def _reprs(values):
-    """``repr`` of every entry of a float array, in row-major order."""
-    return list(map(repr, values.ravel().tolist()))
+class _Reprs:
+    """``repr`` of float arrays, one column after another.
 
-
-def _solution_rows(model, eps, window, labels, result):
-    """Site, label, solution and residual columns of a continue result.
-
-    The residual covers the interior sub-box only; its rows are placed
-    by their row-major positions in the padded box, and collar rows
-    keep an empty residual.
+    ``repr`` runs once per distinct float64 bit pattern of a column, and
+    a pattern the previous column already formatted takes its text from
+    that column's table. Neighbouring lamination members share most of
+    their values site by site, so most patterns are found there. Keys
+    are bit patterns, not float values: -0.0 == 0.0, yet the two print
+    differently, and NaN equals nothing, not even itself. Only the
+    previous column's table is held.
     """
-    Bp = result.solution.domain
-    resid = residual_field(model, eps, result.solution, window)
-    interior = window.interior(model.stencil.range)
-    residuals = [""] * Bp.size
-    at = np.arange(Bp.size).reshape(Bp.shape)[interior.slice_in(Bp)]
-    for i, v in zip(at.ravel().tolist(), _reprs(resid)):
-        residuals[i] = v
-    sites = [list(map(str, col)) for col in Bp.sites().T.tolist()]
-    return zip(*sites, _reprs(labels.values), _reprs(result.solution.values),
-               residuals)
+
+    def __init__(self):
+        self._bits = np.empty(0, np.int64)
+        self._texts = np.empty(0, object)
+
+    def __call__(self, values):
+        """Texts of the entries of ``values``, in row-major order."""
+        flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        at = np.searchsorted(self._bits, bits)
+        seen = at < self._bits.size
+        seen[seen] = self._bits[at[seen]] == bits[seen]
+        texts = np.empty(bits.size, object)
+        texts[seen] = self._texts[at[seen]]
+        new = bits[~seen].view(np.float64)
+        texts[~seen] = list(map(repr, new.tolist()))
+        self._bits, self._texts = bits, texts
+        return texts[inverse].tolist()
+
+
+class _SolutionTable:
+    """Rows of ``solution.csv`` files: site, label, solution and residual
+    columns of continue results over one window.
+
+    The site texts and the residual rows' positions are computed once
+    per window, and each float column keeps its own `_Reprs`, so a
+    lamination member reuses the texts of the member before it. The
+    residual covers the interior sub-box only; collar rows keep an
+    empty residual.
+    """
+
+    def __init__(self, model, eps, window):
+        r = model.stencil.range
+        Bp = window.padded(r)
+        self.model, self.eps, self.window = model, eps, window
+        self.header = _site_header(window.d) + ["x0", "x", "residual"]
+        self._sites = [list(map(str, col)) for col in Bp.sites().T.tolist()]
+        self._interior_rows = (np.arange(Bp.size).reshape(Bp.shape)
+                               [window.interior(r).slice_in(Bp)].reshape(-1))
+        self._size = Bp.size
+        self._x0, self._x, self._residual = _Reprs(), _Reprs(), _Reprs()
+
+    def rows(self, labels, result):
+        resid = residual_field(self.model, self.eps, result.solution,
+                               self.window)
+        residuals = np.full(self._size, "", object)
+        residuals[self._interior_rows] = self._residual(resid)
+        return zip(*self._sites, self._x0(labels.values),
+                   self._x(result.solution.values), residuals.tolist())
 
 
 def cmd_continue(spec, out, seed, threads, tol):
@@ -355,9 +403,8 @@ def cmd_continue(spec, out, seed, threads, tol):
         summary["truncation"] = truncation_consistency(
             model, eps, labels_big, tol, M1, M2)
 
-    _write_csv(out / "solution.csv",
-               _site_header(window.d) + ["x0", "x", "residual"],
-               _solution_rows(model, eps, window, x0, result))
+    table = _SolutionTable(model, eps, window)
+    _write_csv(out / "solution.csv", table.header, table.rows(x0, result))
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 
@@ -367,6 +414,23 @@ def _order(diff):
     LABEL_TOL: "0" equal, "1" above, "-1" below, "x" crossing."""
     below, above = np.min(diff) < -LABEL_TOL, np.max(diff) > LABEL_TOL
     return "x" if below and above else "-1" if below else "1" if above else "0"
+
+
+_MIRROR = {"0": "0", "1": "-1", "-1": "1", "x": "x"}
+
+
+def _ordering_matrix(xs):
+    """``_order(b - a)`` for every pair of arrays a, b of ``xs``.
+
+    Rounding is symmetric, so fl(b - a) = -fl(a - b) exactly and one
+    direction of a pair decides the other; the diagonal is "0".
+    """
+    matrix = [["0"] * len(xs) for _ in xs]
+    for a, x in enumerate(xs):
+        for b in range(a + 1, len(xs)):
+            order = _order(xs[b] - x)
+            matrix[a][b], matrix[b][a] = order, _MIRROR[order]
+    return matrix
 
 
 def cmd_lamination(spec, out, seed, threads, tol):
@@ -379,12 +443,12 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
     lam = continue_lamination(model, eps, p, omega, window, n_samples,
                               tol=tol, k_max=k_max)
+    table = _SolutionTable(model, eps, window)
     for j, member in enumerate(lam.members):
-        rows = _solution_rows(model, eps, window, member.labels, member)
-        _write_csv(out / f"member_{j:03d}.csv",
-                   _site_header(window.d) + ["x0", "x", "residual"], rows)
+        _write_csv(out / f"member_{j:03d}.csv", table.header,
+                   table.rows(member.labels, member))
     xs = [x.values for x in lam.configurations]
-    matrix = [[_order(b - a) for b in xs] for a in xs]
+    matrix = _ordering_matrix(xs)
     _write_csv(out / "ordering_matrix.csv",
                [f"m{b}" for b in range(len(xs))], matrix)
     _write_json(out / "summary.json", {
@@ -428,9 +492,10 @@ def cmd_measure(spec, out, seed, threads, tol):
     mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
     _write_json(out / "measure.json", {"atoms": mu.as_pairs()})
     sig_n = model.potential.minima.size
+    fractions = _Reprs()
     _write_csv(out / "density.csv",
                ["n"] + [f"p{j + 1}" for j in range(sig_n)],
-               [[str(rad)] + _reprs(fr) for rad, fr in mu.density_table])
+               [[str(rad)] + fractions(fr) for rad, fr in mu.density_table])
     summary = {"atoms": mu.as_pairs(),
                "table": [[rad, [float(v) for v in fr]]
                          for rad, fr in mu.density_table]}
@@ -453,10 +518,11 @@ def cmd_measure(spec, out, seed, threads, tol):
         l1 = np.zeros(a.size)
         for j in range(sig_n):
             l1 += np.abs(P[a, j] - P[b, j])
+        names = np.array([str(q) for q in range(len(grid))], object)
         _write_csv(out / "injectivity.csv",
                    ["a", "b", "l1", "vague_distance"],
-                   zip(map(str, a.tolist()), map(str, b.tolist()),
-                       _reprs(l1), _reprs(dist)))
+                   zip(names[a].tolist(), names[b].tolist(),
+                       _Reprs()(l1), _Reprs()(dist)))
         summary["injectivity"] = {
             "grid": grid,
             # a one-point grid has no pairs and no margin
@@ -499,8 +565,8 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     res = extract_cantorus(model, eps, hull, omega, window, n_samples,
                            s0=s0, newton_tol=tol)
     _write_csv(out / "cantorus.csv", ["s", "x0", "y0"],
-               zip(_reprs(res.s_values), _reprs(res.points[:, 0]),
-                   _reprs(res.points[:, 1])))
+               zip(_Reprs()(res.s_values), _Reprs()(res.points[:, 0]),
+                   _Reprs()(res.points[:, 1])))
     _write_json(out / "summary.json", {
         "eps": eps,
         "n_samples": int(n_samples),
@@ -545,7 +611,8 @@ def _cmd_momentum(spec, out, seed, tol):
                                    newton_tol=tol)
     _write_csv(out / "orbit.csv", ["i", "x", "y"],
                zip(map(str, range(orbit.points.shape[0])),
-                   _reprs(orbit.points[:, 0]), _reprs(orbit.points[:, 1])))
+                   _Reprs()(orbit.points[:, 0]),
+                   _Reprs()(orbit.points[:, 1])))
     _write_json(out / "summary.json", {
         "eps": eps,
         "points": int(orbit.points.shape[0]),
@@ -598,12 +665,13 @@ def cmd_sweep(spec, out, seed, threads, tol):
     else:
         results = [run(eps) for eps in eps_list]
 
-    rows = [[repr(float(eps)), str(r.iterations),
-             repr(float(r.final_residual)), repr(float(r.contraction_rate)),
-             repr(float(r.displacement))]
-            for eps, r in zip(eps_list, results)]
+    floats = np.array([[eps, r.final_residual, r.contraction_rate,
+                        r.displacement] for eps, r in zip(eps_list, results)])
+    eps_t, residual, rate, displacement = (_Reprs()(c) for c in floats.T)
     _write_csv(out / "sweep.csv",
-               ["eps", "iterations", "residual", "rate", "displacement"], rows)
+               ["eps", "iterations", "residual", "rate", "displacement"],
+               zip(eps_t, [str(r.iterations) for r in results], residual,
+                   rate, displacement))
     _write_json(out / "summary.json", {
         "eps_values": eps_list,
         "max_displacement": max(r.displacement for r in results),

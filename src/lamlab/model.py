@@ -211,12 +211,12 @@ class InteractionStencil:
     site, in the lexicographic order of :func:`ball_offsets`. Callbacks
     take a stack of windows: the last axis runs over the m offsets, under
     any leading axes (none for a single window), and no window's result
-    may depend on the rest of the stack beyond rounding. ``energy``
-    returns the leading shape, ``gradient`` appends (m,) and ``hessian``
-    (m, m). Validation samples one stack and checks it against its
-    windows taken one by one, the ferromagnetic sign condition,
-    integer-shift invariance, and the derivatives against finite
-    differences.
+    may depend on the rest of the stack, not even in its last bits.
+    ``energy`` returns the leading shape, ``gradient`` appends (m,) and
+    ``hessian`` (m, m). Validation samples one stack and checks it bit
+    for bit against its windows taken one by one, the ferromagnetic sign
+    condition, integer-shift invariance, and the derivatives against
+    finite differences.
 
     ``force`` and ``energy_sum`` gather the windows they need with one
     shifted slice per offset and make one callback call, unless closed
@@ -267,9 +267,10 @@ class InteractionStencil:
         except (IndexError, ValueError) as exc:
             raise ModelInvalid(
                 f"callbacks fail on a stack of windows: {exc}") from exc
+        # every window bit for bit, as the generic sums promise of a stack
         for got, f in ((e, self.energy), (g, self.gradient), (h, self.hessian)):
-            one = f(w[-1, -1])
-            if np.max(np.abs(got[-1, -1] - one)) > 1e-12 * (1 + np.max(np.abs(one))):
+            one = np.array([f(v) for v in w.reshape(-1, m)])
+            if not np.array_equal(got.reshape(one.shape), one):
                 raise ModelInvalid("a stack of windows does not give the "
                                    "results of its windows one by one")
         if np.max(np.abs(h - np.swapaxes(h, -1, -2))) > 1e-8:

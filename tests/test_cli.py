@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
                     psi_epsilon, quasi_newton_continue, residual_field,
                     sample_config, step_hull_from_simplex, vague_distance)
 from lamlab import cli, errors
-from lamlab.cli import _ALLOWED, _order, _solution_rows, main
-from lamlab.continuation import LABEL_TOL
+from lamlab.cli import (_ALLOWED, MAX_WINDOW_SITES, _order, _ordering_matrix,
+                        _Reprs, _SolutionTable, main)
+from lamlab.continuation import LABEL_TOL, continue_lamination
 
 BASE = {
     "model": {},
@@ -504,6 +506,32 @@ def test_window_too_large_to_allocate_exits_1(tmp_path, capsys):
                      dict(BASE, window_radius=2**40, n_samples=2))
     exits_with_one_line(capsys, ["lamination", "--spec", lam, "--out",
                                  str(tmp_path / "l")], 1)
+    assert not (tmp_path / "l").exists()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_site_cap_is_exact(d):
+    # the largest radius whose padded window fits under the cap, and one
+    # more; neither window is allocated
+    sten = builtin_harmonic_stencil(d)
+    side = int(MAX_WINDOW_SITES ** (1 / d))
+    while (side + 1) ** d <= MAX_WINDOW_SITES:
+        side += 1
+    radius = (side - 1) // 2 - sten.range
+    window = cli._parse_window({"window_radius": radius}, sten)
+    assert math.prod(window.padded(sten.range).shape) <= MAX_WINDOW_SITES
+    with pytest.raises(errors.SchemaError, match="at most 67108864"):
+        cli._parse_window({"window_radius": radius + 1}, sten)
+
+
+def test_momentum_window_above_the_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "m.json", {
+        "model": {}, "mode": "momentum", "eps": 0.001,
+        "coin_flip": {"seed": 1}, "window_radius": 2**40})
+    exits_with_one_line(capsys, ["cantorus", "--spec", spec, "--out",
+                                 str(out)], 1)
+    assert not out.exists()
 
 
 def test_out_that_is_a_file_exits_1(tmp_path, capsys):
@@ -636,6 +664,24 @@ def test_ordering_matrix_classes_use_label_tol(diff, order):
     assert _order(np.asarray(diff)) == order
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mirrored_ordering_matrix_equals_all_pairs(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, 12)
+    xs = []
+    for _ in range(9):
+        # shifts above, below and within LABEL_TOL give every class, and
+        # ties and crossings between members
+        x = base + rng.choice([-1.0, 0.0, 0.5 * LABEL_TOL, 1.0])
+        flip = rng.random(12) < 0.2
+        x[flip] += rng.choice([-1.0, 1.0]) * rng.uniform(0, 3 * LABEL_TOL)
+        xs.append(x)
+    xs.append(xs[0].copy())
+    want = [[_order(b - a) for b in xs] for a in xs]
+    assert _ordering_matrix(xs) == want
+    assert {c for row in want for c in row} == {"0", "1", "-1", "x"}
+
+
 @pytest.mark.parametrize("checks", [
     {"gradient-consistency": [1e-3]},
     {"gradient-consistency": True},
@@ -742,9 +788,65 @@ def test_solution_rows_match_dict_keyed_rows(d, model1, model2):
     eps = model.constants.eps1 / 2
     result = quasi_newton_continue(model, eps, labels, window)
     want = dict_keyed_rows(model, eps, window, labels, result)
-    got = [list(row) for row in _solution_rows(model, eps, window, labels,
-                                                result)]
+    got = [list(row) for row in
+           _SolutionTable(model, eps, window).rows(labels, result)]
     assert got == want
     collar = [row for row in got if row[-1] == ""]
     assert len(collar) == Bp.size - window.interior(model.stencil.range).size
     assert len(collar) > 0 and len(collar) < len(got)
+
+
+# every kind of float64 a column can hold: repeats from a small pool,
+# both zeros, subnormals, the extremes and non-finite values
+FLOATS = st.floats(width=64) | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, -1e-310, 1e-300, 1e300, 0.1])
+
+
+@st.composite
+def float_arrays(draw):
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=8))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=rows * cols, max_size=rows * cols))
+    a = np.array([pool[i] for i in picks], dtype=float).reshape(rows, cols)
+    return draw(st.sampled_from([a, a.T, a.ravel()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_arrays(), min_size=1, max_size=5))
+def test_reprs_equal_repr_fresh_and_chained(arrays):
+    chained = _Reprs()
+    for a in arrays:
+        want = list(map(repr, a.ravel().tolist()))
+        assert _Reprs()(a) == want
+        assert chained(a) == want
+
+
+def test_reprs_keep_both_zeros_apart():
+    text = _Reprs()
+    assert text(np.array([0.0, 0.0])) == ["0.0", "0.0"]
+    assert text(np.array([-0.0, 0.0, -0.0])) == ["-0.0", "0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lamination_members_match_dict_keyed_rows(tmp_path, d):
+    body = dict(BASE, n_samples=6, window_radius=12 if d == 1 else 4)
+    if d == 2:
+        body.update(model={"stencil": {"kind": "harmonic", "d": 2}},
+                    omega=["sqrt2-1", "sqrt3-1"])
+    out = tmp_path / "lam"
+    assert main(["lamination", "--spec", write_spec(tmp_path, "l.json", body),
+                 "--out", str(out)]) == 0
+    model, omega, eps, window, _ = cli._setup(body)
+    lam = continue_lamination(model, eps, body["p"], omega, window, 6,
+                              tol=1e-12, k_max=2)
+    header = cli._site_header(d) + ["x0", "x", "residual"]
+    xs = [member.solution.values for member in lam.members]
+    # neighbouring members share bits at some sites, so the texts of the
+    # previous member are taken over
+    assert any(np.any(a == b) for a, b in zip(xs, xs[1:]))
+    for j, member in enumerate(lam.members):
+        rows = dict_keyed_rows(model, eps, window, member.labels, member)
+        want = "\n".join(map(",".join, [header] + rows)) + "\n"
+        assert (out / f"member_{j:03d}.csv").read_text() == want

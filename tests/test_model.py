@@ -121,7 +121,7 @@ def test_harmonic_fast_paths_match_generic_scatter():
             slow.energy_sum(vals, Bp, B), rel=1e-12)
 
 
-def range2_stencil(d, b=0.3):
+def range2_stencil(d, b=0.3, gather=np.take):
     # nearest plus next-nearest harmonic: bonds at L1 distance 1 have
     # weight 1, bonds at distance 2 weight b
     offsets = ball_offsets(d, 2)
@@ -138,7 +138,7 @@ def range2_stencil(d, b=0.3):
     def differences(w):
         # contiguous rows: np.sum then adds a window's 4d(d+1) terms in
         # one order whatever the stack's shape
-        return np.take(w, nb, axis=-1) - w[..., [center]]
+        return gather(w, nb, axis=-1) - w[..., [center]]
 
     def energy(w):
         return 0.25 * np.sum(wt * differences(w) ** 2, axis=-1)
@@ -154,6 +154,17 @@ def range2_stencil(d, b=0.3):
         return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
 
     return InteractionStencil(d, 2, energy, gradient, hessian)
+
+
+def test_fancy_indexing_stack_callback_is_refused():
+    # w[..., nb] lays a stack out with the offsets outermost, so np.sum
+    # adds the twelve terms of a 2-d window in another order than on one
+    # window, and the generic sums would lose their bits
+    def fancy(w, idx, axis):
+        return w[..., idx]
+
+    with pytest.raises(ModelInvalid, match="stack of windows"):
+        range2_stencil(2, gather=fancy)
 
 
 def site_loop_force(sten, values, domain, out):
