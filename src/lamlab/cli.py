@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .birkhoff import check_birkhoff
-from .continuation import (LABEL_TOL, continue_lamination,
-                           quasi_newton_continue, residual_field,
+from .continuation import (continue_lamination, quasi_newton_continue,
+                           residual_field, scan_birkhoff,
                            truncation_consistency)
 from .errors import (CheckInconclusive, ContinuationRefused,
                      ContractionEscape, LaminationBroken, LamlabError,
@@ -31,7 +30,7 @@ from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
                    sample_config, step_hull_from_simplex)
 from .lattice import Box
 from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
-                      psi_epsilon, vague_distance_table)
+                      pairwise_l1, psi_epsilon, vague_distance_table)
 from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
                     builtin_n_well, potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
@@ -385,8 +384,7 @@ def cmd_continue(spec, out, seed, threads, tol):
     _manifest(out, "continue", effective, model, seed, tol)
 
     result = quasi_newton_continue(model, eps, x0, window, tol=tol)
-    scan = window.interior(3 * model.stencil.range)
-    verdict = check_birkhoff(result.solution.restrict(scan), k_max)
+    verdict = next(scan_birkhoff(model, window, [result.solution], k_max))
     summary = {
         "iterations": result.iterations,
         "final_residual": result.final_residual,
@@ -409,30 +407,6 @@ def cmd_continue(spec, out, seed, threads, tol):
     return EXIT_OK
 
 
-def _order(diff):
-    """Order of one member against another from their difference, up to
-    LABEL_TOL: "0" equal, "1" above, "-1" below, "x" crossing."""
-    below, above = np.min(diff) < -LABEL_TOL, np.max(diff) > LABEL_TOL
-    return "x" if below and above else "-1" if below else "1" if above else "0"
-
-
-_MIRROR = {"0": "0", "1": "-1", "-1": "1", "x": "x"}
-
-
-def _ordering_matrix(xs):
-    """``_order(b - a)`` for every pair of arrays a, b of ``xs``.
-
-    Rounding is symmetric, so fl(b - a) = -fl(a - b) exactly and one
-    direction of a pair decides the other; the diagonal is "0".
-    """
-    matrix = [["0"] * len(xs) for _ in xs]
-    for a, x in enumerate(xs):
-        for b in range(a + 1, len(xs)):
-            order = _order(xs[b] - x)
-            matrix[a][b], matrix[b][a] = order, _MIRROR[order]
-    return matrix
-
-
 def cmd_lamination(spec, out, seed, threads, tol):
     model, omega, eps, window, effective = _setup(spec)
     p = _parse_weights(spec.get("p"), model.potential.minima.size)
@@ -447,15 +421,14 @@ def cmd_lamination(spec, out, seed, threads, tol):
     for j, member in enumerate(lam.members):
         _write_csv(out / f"member_{j:03d}.csv", table.header,
                    table.rows(member.labels, member))
-    xs = [x.values for x in lam.configurations]
-    matrix = _ordering_matrix(xs)
-    _write_csv(out / "ordering_matrix.csv",
-               [f"m{b}" for b in range(len(xs))], matrix)
+    n = len(lam.members)
+    _write_csv(out / "ordering_matrix.csv", [f"m{b}" for b in range(n)],
+               lam.order)
     _write_json(out / "summary.json", {
         "eps": eps,
-        "members": len(xs),
+        "members": n,
         "s_values": [float(s) for s in lam.s_values],
-        "ordered": all(c != "x" for row in matrix for c in row),
+        "ordered": all(c != "x" for row in lam.order for c in row),
     })
     return EXIT_OK
 
@@ -512,12 +485,8 @@ def cmd_measure(spec, out, seed, threads, tol):
         measures = [psi_epsilon(model, eps, q, omega, window, n, tol=tol)
                     for q in grid]
         dist = vague_distance_table(measures)
-        # the pairs and the left-to-right sum of vague_distance_table
+        l1 = pairwise_l1(np.asarray(grid))
         a, b = np.triu_indices(len(grid), 1)
-        P = np.asarray(grid)
-        l1 = np.zeros(a.size)
-        for j in range(sig_n):
-            l1 += np.abs(P[a, j] - P[b, j])
         names = np.array([str(q) for q in range(len(grid))], object)
         _write_csv(out / "injectivity.csv",
                    ["a", "b", "l1", "vague_distance"],

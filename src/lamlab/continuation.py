@@ -19,7 +19,7 @@ sampling a step hull along an irrational rotation vector produces ordered
 label fields, and their continuations form the lamination leaves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,9 +140,7 @@ class ContinuationResult:
     final_residual: float
     contraction_rate: float
     displacement: float
-    trust_radius_ok: bool
     labels: Configuration | None = None
-    s: float | None = None
 
 
 def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
@@ -166,7 +164,18 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
                                  labels.values, tol, max_iter)
     # a converged iterate is finite: a NaN residual never meets tol
     return ContinuationResult(Configuration._adopt(Bp, X), it, sup, rate,
-                              disp, True, labels=labels)
+                              disp, labels=labels)
+
+
+def scan_birkhoff(model, window, solutions, k_max):
+    """Birkhoff verdicts, one at a time, of solutions continued over
+    ``window``, read on its interior at range 3r: values within 2r of the
+    frozen collar are kept out, since the collar suppresses their
+    relaxation at eps^2 scale with a pattern-dependent sign, which fakes
+    crossings at tie translates."""
+    scan = window.interior(3 * model.stencil.range)
+    for x in solutions:
+        yield check_birkhoff(x.restrict(scan), k_max)
 
 
 def truncation_consistency(model, eps, x0, tol, M1, M2):
@@ -224,7 +233,6 @@ class DefectResult:
     minimizer: Configuration
     displacement: float
     iterations: int
-    base_distance: float
 
 
 def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
@@ -260,8 +268,7 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
     relaxed = Configuration(Bp, X)
     value = action(model, eps, B, relaxed) - action(model, eps, B, z)
     disp = float(np.max(np.abs(X[sl] - z.values[sl])))
-    base_dist = float(np.max(np.abs(X - base.values)))
-    return DefectResult(value, relaxed, disp, it, base_dist)
+    return DefectResult(value, relaxed, disp, it)
 
 
 def defect_subadditivity_check(model, eps, base, z, B, parts, tol=1e-9):
@@ -294,23 +301,44 @@ def defect_subadditivity_check(model, eps, base, z, B, parts, tol=1e-9):
     }
 
 
+def _order(diff):
+    """Order of one member against another from their difference, up to
+    LABEL_TOL: "0" equal, "1" above, "-1" below, "x" crossing."""
+    below, above = np.min(diff) < -LABEL_TOL, np.max(diff) > LABEL_TOL
+    return "x" if below and above else "-1" if below else "1" if above else "0"
+
+
+_MIRROR = {"0": "0", "1": "-1", "-1": "1", "x": "x"}
+
+
+def _ordering_matrix(xs):
+    """``_order(b - a)`` for every pair of arrays a, b of ``xs``.
+
+    Rounding is symmetric, so fl(b - a) = -fl(a - b) exactly and one
+    direction of a pair decides the other; the diagonal is "0".
+    """
+    matrix = [["0"] * len(xs) for _ in xs]
+    for a, x in enumerate(xs):
+        for b in range(a + 1, len(xs)):
+            order = _order(xs[b] - x)
+            matrix[a][b], matrix[b][a] = order, _MIRROR[order]
+    return matrix
+
+
 @dataclass
 class LaminationResult:
-    hull: HullFunction
+    """``members[j]`` continues the sample at parameter ``s_values[j]`` of
+    the step hull of weights ``p``; ``order[a][b]`` is ``_order`` of
+    member b minus member a: "1" above, "-1" below, "0" equal, "x"
+    crossing."""
     members: list
     p: np.ndarray
-    omega: np.ndarray
-    window: Box
-    eps: float
-    s_values: list = field(default_factory=list)
-
-    @property
-    def configurations(self):
-        return [m.solution for m in self.members]
+    s_values: list
+    order: list
 
 
 def continue_lamination(model, eps, p, omega, window, n_samples,
-                        tol=1e-12, k_max=2, order_tol=LABEL_TOL):
+                        tol=1e-12, k_max=2):
     """Continue a family of hull samples into an ordered lamination window.
 
     The hull is the step function whose plateau lengths are the simplex
@@ -318,7 +346,8 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
     the midpoints (2j+1)/(2n) and are nudged off plateau boundaries.
     Members are continued over ``window`` one after another, in member
     order; each is checked for the Birkhoff property, and the family is
-    checked for pairwise order, a crossing raising LaminationBroken.
+    ordered pairwise. A member that lies below or crosses the next one
+    in s raises LaminationBroken.
     """
     omega = check_irrational(omega)
     phi = step_hull_from_simplex(p, model.potential.minima)
@@ -331,30 +360,27 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
                                      sample_config(phi, omega, s, Bp), window,
                                      tol=tol)
                for s in s_values]
-    # translate comparisons must not read values within 2r of the frozen
-    # collar: the collar suppresses their relaxation at eps^2 scale with a
-    # pattern-dependent sign, which fakes crossings at tie translates
-    scan = window.interior(3 * model.stencil.range)
-    for j, (res, s) in enumerate(zip(members, s_values)):
-        res.s = s
-        verdict = check_birkhoff(res.solution.restrict(scan), k_max)
+    verdicts = scan_birkhoff(model, window, (m.solution for m in members),
+                             k_max)
+    for j, verdict in enumerate(verdicts):
         if not verdict.ordered:
             raise NotBirkhoff(
                 f"lamination member {j} crosses its translate",
                 witness=(j, verdict.violation),
             )
 
-    order = np.argsort(s_values)
-    for a, b in zip(order[:-1], order[1:]):
-        diff = members[b].solution.values - members[a].solution.values
-        if float(np.min(diff)) < -order_tol:
-            site = window.padded(model.stencil.range).sites()[int(np.argmin(diff))]
+    order = _ordering_matrix([m.solution.values for m in members])
+    by_s = np.argsort(s_values)
+    for a, b in zip(by_s[:-1], by_s[1:]):
+        if order[a][b] in ("-1", "x"):
+            diff = members[b].solution.values - members[a].solution.values
+            site = Bp.sites()[int(np.argmin(diff))]
             raise LaminationBroken(
                 f"members {a} and {b} cross",
                 witness=(int(a), int(b), tuple(site.tolist())),
             )
-    return LaminationResult(phi, members, np.asarray(p, dtype=float),
-                            omega, window, eps, s_values)
+    return LaminationResult(members, np.asarray(p, dtype=float), s_values,
+                            order)
 
 
 def _phase_candidates(omega, k_scan, n_candidates, d):

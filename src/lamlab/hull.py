@@ -24,15 +24,19 @@ BREAKPOINT_SNAP = 1e-12
 GENERICITY_OFFSET = 1e-7 * GOLDEN_MEAN
 RESONANCE_DENOMINATOR = 10**6
 RESONANCE_TOL = 1e-9
+RELATION_MAX = 10
 
 
 def check_irrational(omega, max_denominator=RESONANCE_DENOMINATOR, tol=RESONANCE_TOL):
-    """Reject rotation vectors with a near-rational component.
+    """Reject rotation vectors with a near-rational component or relation.
 
     A component w is resonant when its best rational approximation p/q
     with q <= max_denominator satisfies |q w - p| <= tol; sampling a hull
     along such a vector revisits plateau boundaries and the genericity
-    machinery cannot help.
+    machinery cannot help. In d >= 2 so is a vector with k . omega within
+    tol of an integer for an integer k != 0 with |k|_inf <= RELATION_MAX:
+    its samples repeat along the sites orthogonal to k, as those of
+    (w, w) do along anti-diagonals.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     for w in omega:
@@ -42,7 +46,48 @@ def check_irrational(omega, max_denominator=RESONANCE_DENOMINATOR, tol=RESONANCE
                 f"rotation component {float(w)!r} is within {tol} of "
                 f"{fr.numerator}/{fr.denominator}"
             )
+    if omega.size > 1:
+        k = _integer_relation(omega, tol)
+        if k is not None:
+            raise ValueError(f"rotation vector {omega.tolist()} has k . omega "
+                             f"within {tol} of an integer for k = {k}")
     return omega
+
+
+def _integer_relation(omega, tol):
+    """An integer k != 0 with |k|_inf <= RELATION_MAX and k . omega within
+    tol of an integer, of least |k|_inf among those found and with its
+    first nonzero entry positive, or None.
+
+    Meet in the middle: k . omega is near an integer when the sum over
+    the head of k lies near minus the sum over its tail, mod 1. One sort
+    of the head sums and a binary search per tail sum cost about
+    (2 RELATION_MAX + 1)**(d / 2) instead of (2 RELATION_MAX + 1)**d.
+    """
+    steps = np.arange(-RELATION_MAX, RELATION_MAX + 1)
+
+    def sums(part):
+        # k . part mod 1 for every k, in C order of k + RELATION_MAX
+        out = np.zeros(1)
+        for w in part:
+            out = np.add.outer(out, steps * w).ravel()
+        return np.mod(out, 1.0)
+
+    h = (omega.size + 1) // 2
+    head, tail = sums(omega[:h]), sums(-omega[h:])
+    order = np.argsort(head)
+    # both neighbours on the circle, and one more: the zero tail's nearest
+    # head is the zero head, and k = 0 is no relation
+    at = np.searchsorted(head[order], tail) + np.arange(-1, 2)[:, None]
+    flat = order[at % head.size] * tail.size + np.arange(tail.size)
+    gap = np.abs(head[flat // tail.size] - tail)
+    gap = np.minimum(gap, 1.0 - gap)
+    hits = flat[(gap <= tol) & (flat != head.size * tail.size // 2)]
+    if hits.size == 0:
+        return None
+    k = np.array(np.unravel_index(hits, (steps.size,) * omega.size)).T
+    k = k[np.argmin(np.abs(k - RELATION_MAX).max(axis=1))] - RELATION_MAX
+    return tuple((k * np.sign(k[np.flatnonzero(k)[0]])).tolist())
 
 
 class HullFunction:

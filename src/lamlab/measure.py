@@ -157,25 +157,28 @@ def vague_distance(a, b):
     return float(total)
 
 
-def vague_distance_table(measures):
-    """``vague_distance`` of every pair a < b of measures on one atom array.
+def pairwise_l1(M):
+    """L1 distance of every pair a < b of rows of the (G, N) matrix M, in
+    ``np.triu_indices(G, 1)`` order: |M[a, j] - M[b, j]| summed left to
+    right from 0.0."""
+    a, b = np.triu_indices(M.shape[0], 1)
+    dist = np.zeros(a.size)
+    for j in range(M.shape[1]):
+        dist += np.abs(M[a, j] - M[b, j])
+    return dist
 
-    Pairs come in row-major order (``np.triu_indices(G, 1)``). On a
-    shared atom array the distance is the sum of |m_a[j] - m_b[j]| taken
-    left to right from 0.0, which is ``vague_distance``'s arithmetic bit
-    for bit. Measures on different atoms raise ``ValueError``.
-    """
+
+def vague_distance_table(measures):
+    """``vague_distance`` of every pair a < b of measures on one atom array,
+    in ``pairwise_l1``'s order and bit for bit: on shared atoms both sum
+    |m_a[j] - m_b[j]| left to right from 0.0. Measures on different atoms
+    raise ``ValueError``."""
     if not measures:
         return np.zeros(0)
     atoms = measures[0].atoms
     if any(not np.array_equal(mu.atoms, atoms) for mu in measures):
         raise ValueError("measures do not share one atom array")
-    M = np.stack([mu.masses for mu in measures])
-    a, b = np.triu_indices(len(measures), 1)
-    dist = np.zeros(a.size)
-    for j in range(atoms.size):
-        dist += np.abs(M[a, j] - M[b, j])
-    return dist
+    return pairwise_l1(np.stack([mu.masses for mu in measures]))
 
 
 def default_density_radius(window, r):

@@ -13,9 +13,9 @@ from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
                     psi_epsilon, quasi_newton_continue, residual_field,
                     sample_config, step_hull_from_simplex, vague_distance)
 from lamlab import cli, errors
-from lamlab.cli import (_ALLOWED, MAX_WINDOW_SITES, _order, _ordering_matrix,
-                        _Reprs, _SolutionTable, main)
-from lamlab.continuation import LABEL_TOL, continue_lamination
+from lamlab.cli import _ALLOWED, MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
+from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
+                                 continue_lamination)
 
 BASE = {
     "model": {},
@@ -477,6 +477,9 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     ("measure", {"model": {"stencil": {"kind": "harmonic", "d": 3}},
                  "omega": ["golden", "sqrt2-1", "sqrt3-1"],
                  "window_radius": None}),
+    # each component is irrational, but their difference is 0
+    ("continue", {"model": {"stencil": {"kind": "harmonic", "d": 2}},
+                  "omega": ["golden", "golden"]}),
 ])
 def test_refused_before_the_manifest(tmp_path, capsys, command, change):
     body = {k: v for k, v in dict(BASE, **change).items() if v is not None}
@@ -493,6 +496,10 @@ def test_refused_before_the_manifest(tmp_path, capsys, command, change):
         assert err == "error: rotation component 0.5 is within 1e-09 of 1/2\n"
     if body["model"].get("stencil", {}).get("d") == 3:
         assert err == "error: no default ball radius in this dimension; pass n\n"
+    if change.get("omega") == ["golden", "golden"]:
+        omega = [float(GOLDEN_MEAN)] * 2
+        assert err == (f"error: rotation vector {omega} has k . omega within "
+                       "1e-09 of an integer for k = (1, -1)\n")
 
 
 def test_window_too_large_to_allocate_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import lamlab
 from lamlab import (Box, GOLDEN_MEAN, HullFunction, check_irrational,
                     generic_parameter, hull_distance_mod_translation,
                     normalize_simplex, sample_config, step_hull_from_simplex)
+from lamlab.hull import _integer_relation
 
 
 def oracle_value(bp, vals, s):
@@ -251,6 +253,55 @@ def test_check_irrational():
     check_irrational([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
     with pytest.raises(ValueError):
         check_irrational([GOLDEN_MEAN, 0.25])  # one bad component poisons d=2
+
+
+@pytest.mark.parametrize("omega,k", [
+    ([GOLDEN_MEAN, GOLDEN_MEAN], (1, -1)),
+    ([GOLDEN_MEAN, 1.0 - GOLDEN_MEAN], (1, 1)),
+    ([np.sqrt(2.0) - 1.0, 2.0 * np.sqrt(2.0) - 2.0], (2, -1)),
+    ([GOLDEN_MEAN, np.sqrt(2.0) - 1.0, 10.0 * np.sqrt(2.0) - 3.0 * GOLDEN_MEAN],
+     (3, -10, 1)),
+    # relations within the first and within the second half of omega
+    ([GOLDEN_MEAN, 1.0 - GOLDEN_MEAN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0],
+     (1, 1, 0, 0)),
+    ([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0, GOLDEN_MEAN, GOLDEN_MEAN],
+     (0, 0, 1, -1)),
+])
+def test_check_irrational_refuses_integer_relations(omega, k):
+    # the witness is k or a multiple of it within |k|_inf <= 10
+    with pytest.raises(ValueError) as info:
+        check_irrational(omega)
+    found = re.search(r"for k = \(([-\d, ]+)\)$", str(info.value)).group(1)
+    found = np.array(found.split(", "), dtype=int)
+    i = np.flatnonzero(k)[0]
+    assert found[i] != 0 and np.array_equal(found * k[i], np.array(k) * found[i])
+
+
+def test_integer_relations_keep_a_margin():
+    # the closest relation of (sqrt2 - 1, sqrt3 - 1) is (5, 4), at 7.29e-4
+    omega = np.asarray([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
+    assert _integer_relation(omega, 7.2e-4) is None
+    assert _integer_relation(omega, 7.3e-4) == (5, 4)
+    check_irrational([GOLDEN_MEAN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
+    # relations beyond |k|_inf = 10 are allowed
+    check_irrational([GOLDEN_MEAN, 11.0 * GOLDEN_MEAN - 6.0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_integer_relation_equals_the_full_scan(d):
+    # every k in [-10, 10]^d but 0: the closest k . omega to an integer
+    k = np.indices((21,) * d).reshape(d, -1).T - 10
+    k = k[np.any(k, axis=1)]
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        omega = rng.uniform(-2.0, 2.0, d)
+        dot = k @ omega
+        gap = float(np.min(np.abs(dot - np.round(dot))))
+        assert _integer_relation(omega, gap * 0.999) is None
+        found = _integer_relation(omega, gap * 1.001)
+        assert found is not None
+        dot = np.dot(found, omega)
+        assert abs(dot - round(dot)) <= gap * 1.001
 
 
 simplex3 = st.tuples(
