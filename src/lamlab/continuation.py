@@ -51,8 +51,13 @@ def residual_field(model, eps, x, B):
     interior = B.interior(r)
     if not x.domain.contains_box(B.padded(r)):
         raise ValueError("configuration must cover the collar around the window")
-    force = model.stencil.force(x.values, x.domain, interior)
-    return model.potential.d1(x.values[interior.slice_in(x.domain)]) + eps * force
+    return _residual(model, eps, x.values, x.domain, interior,
+                     x.values[interior.slice_in(x.domain)])
+
+
+def _residual(model, eps, X, domain, interior, inner):
+    """V'(x) + eps * force(x) on ``interior``; ``inner`` is X there."""
+    return model.potential.d1(inner) + eps * model.stencil.force(X, domain, interior)
 
 
 _RANGE_NAMES = {"eps0": "certified", "eps1": "convexity"}
@@ -94,8 +99,7 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
     disp = 0.0
     it = 0
     while True:
-        resid = (model.potential.d1(Xi)
-                 + eps * model.stencil.force(X, Bp, interior))
+        resid = _residual(model, eps, X, Bp, interior, Xi)
         sup = float(np.abs(resid).max())
         if sup <= tol:
             return it, sup, rate, disp
@@ -230,7 +234,6 @@ def truncation_consistency(model, eps, x0, tol, M1, M2):
 @dataclass
 class DefectResult:
     value: float
-    minimizer: Configuration
     displacement: float
     iterations: int
 
@@ -265,10 +268,9 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
     sl = interior.slice_in(Bp)
     X = z.values.copy()
     it = _relax(model, eps, X, Bp, interior, base.values, tol, max_iter)[0]
-    relaxed = Configuration(Bp, X)
-    value = action(model, eps, B, relaxed) - action(model, eps, B, z)
+    value = action(model, eps, B, Configuration(Bp, X)) - action(model, eps, B, z)
     disp = float(np.max(np.abs(X[sl] - z.values[sl])))
-    return DefectResult(value, relaxed, disp, it)
+    return DefectResult(value, disp, it)
 
 
 def defect_subadditivity_check(model, eps, base, z, B, parts, tol=1e-9):
@@ -376,87 +378,42 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
             diff = members[b].solution.values - members[a].solution.values
             site = Bp.sites()[int(np.argmin(diff))]
             raise LaminationBroken(
-                f"members {a} and {b} cross",
+                f"members {a} and {b} cross" if order[a][b] == "x"
+                else f"member {b} lies below member {a}",
                 witness=(int(a), int(b), tuple(site.tolist())),
             )
     return LaminationResult(members, np.asarray(p, dtype=float), s_values,
                             order)
 
 
-def _phase_candidates(omega, k_scan, n_candidates, d):
-    """Lattice translates sorted by how little they shift the hull phase."""
-    cands = []
-    for k in Box.centered(int(k_scan), d).sites():
-        nz = np.nonzero(k)[0]
-        if nz.size == 0 or k[nz[0]] < 0:
-            continue
-        dot = float(k @ omega)
-        l = -int(np.round(dot))
-        for ll in (l, l - 1, l + 1):
-            phase = dot + ll
-            if abs(phase) > 0.45 or abs(phase) < 1e-9:
-                continue
-            cands.append((abs(phase), tuple(k.tolist()), ll, phase))
-    cands.sort()
-    out = []
-    seen = set()
-    for _, k, ll, phase in cands:
-        if (k, ll) in seen:
-            continue
-        seen.add((k, ll))
-        out.append((k, ll, phase))
-        if len(out) >= n_candidates:
-            break
-    return out
+def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum"):
+    """Birkhoff scan of one continued single-well configuration.
 
-
-def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum",
-                         k_scan=34, n_candidates=12, s0=0.25, tol=1e-10):
-    """Search for an order-breaking translate of a single-well family.
-
-    All labels sit at one critical point of the given kind. The family is
-    compared with its own lattice translates, smallest hull-phase shifts
-    first. For minimum labels the frozen-diagonal iteration is monotone
-    and order survives continuation (returns None); for maximum labels it
-    is not, and a crossing witness (k, l, phase, sites) is expected.
+    All labels sit at one critical point of the given kind. For minimum
+    labels the frozen-diagonal iteration is monotone and order survives
+    continuation (returns None); for maximum labels it is not, and the
+    scan's crossing translate is returned: k, l, the hull phase
+    k . omega + l, and at its two sites the offsets x_{i+k} + l - x_i,
+    which are their extremes over the scanned overlap.
     """
     omega = check_irrational(omega)
     pot = model.potential
     crits = pot.maxima if critical_kind == "maximum" else pot.minima
-    if crits.size == 0:
-        raise ValueError(f"background has no {critical_kind} critical point")
     lift = float(crits[0]) if crits[0] > 0.0 else 1.0
     phi = HullFunction([1.0], [lift])
+    Bp = window.padded(model.stencil.range)
+    s = generic_parameter(phi, omega, Bp, 0.25)
+    x = quasi_newton_continue(model, eps, sample_config(phi, omega, s, Bp),
+                              window).solution
+    # depth 2, the default k_max of continue_lamination and of the CLI
+    verdict = next(scan_birkhoff(model, window, [x], 2))
+    if verdict.ordered:
+        return None
+    k, l, above, below = verdict.violation
 
-    r = model.stencil.range
-    Bp = window.padded(r)
-    cands = _phase_candidates(omega, k_scan, n_candidates, window.d)
-    phases = [c[2] for c in cands]
+    def offset(i):
+        return float(x.values[Bp.index(np.add(i, k))] - x.values[Bp.index(i)] + l)
 
-    # the base parameter and every phase-shifted one stay generic
-    s = generic_parameter(phi, omega, Bp, s0, phases=[0.0] + phases)
-
-    base = quasi_newton_continue(
-        model, eps, sample_config(phi, omega, s, Bp), window, tol=1e-12)
-    interior = window.interior(r)
-    sl = interior.slice_in(Bp)
-    sites = interior.sites()
-
-    for k, l, phase in cands:
-        shifted = quasi_newton_continue(
-            model, eps, sample_config(phi, omega, s + phase, Bp), window,
-            tol=1e-12)
-        diff = (shifted.solution.values[sl] - base.solution.values[sl]).ravel()
-        lo_at, hi_at = int(np.argmin(diff)), int(np.argmax(diff))
-        lo, hi = float(diff[lo_at]), float(diff[hi_at])
-        if lo < -tol and hi > tol:
-            return {
-                "k": k,
-                "l": l,
-                "phase": phase,
-                "min": lo,
-                "max": hi,
-                "site_below": tuple(sites[lo_at].tolist()),
-                "site_above": tuple(sites[hi_at].tolist()),
-            }
-    return None
+    return {"k": k, "l": l, "phase": float(np.dot(k, omega)) + l,
+            "site_above": above, "max": offset(above),
+            "site_below": below, "min": offset(below)}

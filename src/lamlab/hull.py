@@ -27,30 +27,30 @@ RESONANCE_TOL = 1e-9
 RELATION_MAX = 10
 
 
-def check_irrational(omega, max_denominator=RESONANCE_DENOMINATOR, tol=RESONANCE_TOL):
+def check_irrational(omega):
     """Reject rotation vectors with a near-rational component or relation.
 
     A component w is resonant when its best rational approximation p/q
-    with q <= max_denominator satisfies |q w - p| <= tol; sampling a hull
-    along such a vector revisits plateau boundaries and the genericity
-    machinery cannot help. In d >= 2 so is a vector with k . omega within
-    tol of an integer for an integer k != 0 with |k|_inf <= RELATION_MAX:
-    its samples repeat along the sites orthogonal to k, as those of
-    (w, w) do along anti-diagonals.
+    with q <= RESONANCE_DENOMINATOR satisfies |q w - p| <= RESONANCE_TOL;
+    sampling a hull along such a vector revisits plateau boundaries and
+    the genericity machinery cannot help. In d >= 2 so is a vector with
+    k . omega within RESONANCE_TOL of an integer for an integer k != 0
+    with |k|_inf <= RELATION_MAX: its samples repeat along the sites
+    orthogonal to k, as those of (w, w) do along anti-diagonals.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     for w in omega:
-        fr = Fraction(float(w)).limit_denominator(max_denominator)
-        if abs(fr.denominator * float(w) - fr.numerator) <= tol:
+        fr = Fraction(float(w)).limit_denominator(RESONANCE_DENOMINATOR)
+        if abs(fr.denominator * float(w) - fr.numerator) <= RESONANCE_TOL:
             raise ValueError(
-                f"rotation component {float(w)!r} is within {tol} of "
+                f"rotation component {float(w)!r} is within {RESONANCE_TOL} of "
                 f"{fr.numerator}/{fr.denominator}"
             )
     if omega.size > 1:
-        k = _integer_relation(omega, tol)
+        k = _integer_relation(omega, RESONANCE_TOL)
         if k is not None:
             raise ValueError(f"rotation vector {omega.tolist()} has k . omega "
-                             f"within {tol} of an integer for k = {k}")
+                             f"within {RESONANCE_TOL} of an integer for k = {k}")
     return omega
 
 
@@ -220,8 +220,9 @@ def step_hull_from_simplex(p, sigma):
 
 
 def sample_config(phi, omega, s, window):
-    """Configuration x_i = phi(s + omega . i) over a window box."""
-    omega = check_irrational(omega)
+    """Configuration x_i = phi(s + omega . i) over a window box. Any omega
+    is sampled: a rational one gives a periodic configuration."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if not isinstance(window, Box):
         raise ValueError("window must be a Box")
     if omega.size != window.d:

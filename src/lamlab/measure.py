@@ -22,7 +22,8 @@ import numpy as np
 
 from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import UnclassifiableSite
-from .hull import generic_parameter, sample_config, step_hull_from_simplex
+from .hull import (check_irrational, generic_parameter, sample_config,
+                   step_hull_from_simplex)
 from .lattice import Box, l1_norms
 
 ATOM_MERGE_TOL = 1e-12
@@ -200,6 +201,7 @@ def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):
     up to eps1, where continuation keeps every site inside its
     classification interval.
     """
+    omega = check_irrational(omega)
     cst = model.constants
     _refuse_coupling(cst, eps, "eps1")
     if n is None:

@@ -46,26 +46,27 @@ def _as_vectorized(f):
     return g
 
 
-def find_criticals(d1, grid=CRITICAL_GRID, tol=1e-14):
-    """Zeros of a one-periodic function on [0, 1) by sign-change bisection.
+def find_criticals(d1):
+    """Zeros of a one-periodic function on [0, 1) by sign-change bisection
+    on a grid of CRITICAL_GRID cells, down to brackets of 1e-14.
 
     The grid must be fine enough that every zero sits alone in one cell;
     for Morse backgrounds the zeros of V' are simple, so this holds for
     any reasonable grid.
     """
-    s = np.arange(grid) / grid
+    s = np.arange(CRITICAL_GRID) / CRITICAL_GRID
     f = np.asarray(d1(s), dtype=float)
     roots = []
     # the cells that start on a zero or change sign (or hold a NaN)
     for i in np.flatnonzero((f == 0.0) | ~(f * np.roll(f, -1) >= 0.0)).tolist():
-        a, b, fa = s[i], (i + 1) / grid, f[i]
+        a, b, fa = s[i], (i + 1) / CRITICAL_GRID, f[i]
         if fa == 0.0:
             roots.append(a)
             continue
         for _ in range(200):
             m = 0.5 * (a + b)
             fm = float(d1(np.asarray(m)))
-            if fm == 0.0 or (b - a) < tol:
+            if fm == 0.0 or (b - a) < 1e-14:
                 a = b = m
                 break
             if fa * fm < 0:
@@ -86,12 +87,12 @@ class Potential:
         Morse property are sampled at construction.
     criticals : array, optional
         Critical points in [0, 1). Located by bisection when omitted.
-    kinds : sequence of str, optional
-        "minimum"/"maximum" tag per critical point. Derived from the sign
-        of V'' when omitted.
+
+    Each critical point is tagged "minimum" or "maximum" by the sign of
+    V'' there, and the tags must alternate around the circle.
     """
 
-    def __init__(self, value, d1, d2, criticals=None, kinds=None, tol=TOL_CRIT):
+    def __init__(self, value, d1, d2, criticals=None):
         self.value = _as_vectorized(value)
         self.d1 = _as_vectorized(d1)
         self.d2 = _as_vectorized(d2)
@@ -107,26 +108,18 @@ class Potential:
         if criticals.size == 0:
             raise ModelInvalid("background has no critical points; not Morse")
         resid = np.abs(self.d1(criticals))
-        if np.max(resid) > tol:
+        if np.max(resid) > TOL_CRIT:
             worst = criticals[int(np.argmax(resid))]
             raise ModelInvalid(f"critical point {worst!r} has slope residual "
                                f"{np.max(resid):.2e}")
         curv = self.d2(criticals)
-        if kinds is None:
-            kinds = tuple("minimum" if cv > 0 else "maximum" for cv in curv)
-        kinds = tuple(kinds)
-        if len(kinds) != criticals.size:
-            raise ModelInvalid("kinds and criticals length mismatch")
         gap = float(np.min(np.abs(curv)))
-        if gap <= 0.0 or np.any(curv == 0.0):
+        if gap <= 0.0:
             raise ModelInvalid("degenerate critical point; background is not Morse")
-        for sig, kind, cv in zip(criticals, kinds, curv):
-            if (kind == "minimum") != (cv > 0):
-                raise ModelInvalid(f"tag {kind} at {sig} contradicts curvature {cv}")
+        kinds = tuple("minimum" if cv > 0 else "maximum" for cv in curv)
+        # a lone critical point is its own neighbour, so this needs both kinds
         if any(a == b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
             raise ModelInvalid("critical tags must alternate around the circle")
-        if kinds.count("minimum") < 1:
-            raise ModelInvalid("need at least one local minimum")
 
         self.criticals = criticals
         self.kinds = kinds
@@ -160,9 +153,7 @@ def builtin_n_well(N):
     def d2(s):
         return np.cos(w * np.asarray(s))
 
-    crit = np.arange(2 * N) / (2.0 * N)
-    kinds = tuple("minimum" if j % 2 == 0 else "maximum" for j in range(2 * N))
-    return Potential(value, d1, d2, criticals=crit, kinds=kinds)
+    return Potential(value, d1, d2, criticals=np.arange(2 * N) / (2.0 * N))
 
 
 def potential_from_table(samples):

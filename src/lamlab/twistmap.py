@@ -69,7 +69,6 @@ class CantorusResult:
     invariance_error: float
     worst_index: int
     mean_momentum: float
-    eps: float
 
 
 def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
@@ -133,7 +132,7 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
         )
     points = np.column_stack([np.mod(x0s[:n_samples], 1.0), ys[:n_samples]])
     return CantorusResult(points, s_values[:n_samples], err, worst,
-                          float(np.mean(ys[:n_samples])), eps)
+                          float(np.mean(ys[:n_samples])))
 
 
 def chaotic_momentum_orbit(model, eps, labels, window, tol=1e-8,

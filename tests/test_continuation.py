@@ -13,6 +13,7 @@ from lamlab import (
     ContinuationRefused,
     ContinuationResult,
     ContractionEscape,
+    HullFunction,
     InteractionStencil,
     LaminationBroken,
     LamlabError,
@@ -25,13 +26,16 @@ from lamlab import (
     defect,
     defect_subadditivity_check,
     continue_lamination,
+    extract_cantorus,
     generic_parameter,
     maximum_breaks_order,
     potential_from_table,
+    psi_epsilon,
     quasi_newton_continue,
     residual_field,
     sample_config,
     step_hull_from_simplex,
+    translate,
     truncation_consistency,
 )
 from lamlab import continuation
@@ -323,6 +327,168 @@ def test_minimum_labels_preserve_order(model1, golden):
     window = Box.centered(16, 1)
     assert maximum_breaks_order(model1, eps, golden, window,
                                 critical_kind="minimum") is None
+
+
+def test_lower_member_breaks_the_lamination_as_below(model1, golden,
+                                                    monkeypatch):
+    solo = continuation.quasi_newton_continue
+    results = []
+
+    def lower_the_second(*args, **kwargs):
+        results.append(solo(*args, **kwargs))
+        if len(results) == 2:
+            # one period down at every site: still Birkhoff, and below
+            # member 0 everywhere without crossing it
+            results[1].solution.values[...] -= 1.0
+        return results[-1]
+
+    monkeypatch.setattr(continuation, "quasi_newton_continue",
+                        lower_the_second)
+    eps = model1.constants.eps1 / 2.0
+    window = Box.centered(10, 1)
+    with pytest.raises(LaminationBroken) as info:
+        continue_lamination(model1, eps, [0.3, 0.7], golden, window, 6)
+    x0, x1 = (r.solution.values for r in results[:2])
+    assert _order(x1 - x0) == "-1"
+    assert str(info.value) == "member 1 lies below member 0"
+    # the first site of the collar, where member 1 - member 0 is least
+    assert info.value.witness == (0, 1, (-11,))
+
+
+def single_well_hull(model, kind):
+    """The hull maximum_breaks_order samples: every label at the first
+    critical point of the kind, lifted into (0, 1]."""
+    pot = model.potential
+    crits = pot.maxima if kind == "maximum" else pot.minima
+    return HullFunction([1.0], [float(crits[0]) if crits[0] > 0.0 else 1.0])
+
+
+def reference_breaks_order(model, eps, omega, window, kind, k_scan=34,
+                           n_candidates=12, tol=1e-10):
+    """Whether maximum_breaks_order found a witness before it reused the
+    Birkhoff scan: the single-well solution against up to 12 solutions
+    continued at hull phases k . omega + l, smallest |phase| first.
+
+    It tried l = -round(k . omega) and l +- 1 for each k; the last two
+    shift the phase by at least 0.5, past the 0.45 cut, so only the
+    first is kept here."""
+    omega = np.asarray(omega, dtype=float)
+    cands = []
+    for k in Box.centered(k_scan, window.d).sites():
+        nz = np.nonzero(k)[0]
+        if nz.size == 0 or k[nz[0]] < 0:
+            continue
+        phase = float(k @ omega) - round(float(k @ omega))
+        if 1e-9 <= abs(phase) <= 0.45:
+            cands.append(phase)
+    phases = sorted(cands, key=abs)[:n_candidates]
+    phi = single_well_hull(model, kind)
+    Bp = window.padded(model.stencil.range)
+    s = generic_parameter(phi, omega, Bp, 0.25, phases=[0.0] + phases)
+    sl = window.interior(model.stencil.range).slice_in(Bp)
+
+    def solve(shift):
+        x0 = sample_config(phi, omega, s + shift, Bp)
+        return quasi_newton_continue(model, eps, x0,
+                                     window).solution.values[sl]
+
+    base = solve(0.0)
+    for phase in phases:
+        diff = solve(phase) - base
+        if diff.min() < -tol and diff.max() > tol:
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def model2_three_wells():
+    omega = np.asarray([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
+    model = build_model(builtin_n_well(3), builtin_harmonic_stencil(2),
+                        omega=omega)
+    return model, omega
+
+
+@pytest.mark.parametrize("kind", ["maximum", "minimum"])
+@pytest.mark.parametrize("R", [16, 32, 64])
+def test_birkhoff_scan_agrees_with_the_phase_search_1d(model1, golden, kind,
+                                                       R):
+    eps = model1.constants.eps1 / 2.0
+    window = Box.centered(R, 1)
+    got = maximum_breaks_order(model1, eps, golden, window, critical_kind=kind)
+    assert (got is not None) == reference_breaks_order(model1, eps, golden,
+                                                       window, kind)
+    assert (got is not None) == (kind == "maximum")
+
+
+@pytest.mark.parametrize("kind", ["maximum", "minimum"])
+def test_birkhoff_scan_agrees_with_the_phase_search_2d(model2_three_wells,
+                                                       kind):
+    model, omega = model2_three_wells
+    eps = model.constants.eps1 / 2.0
+    window = Box.centered(10, 2)
+    got = maximum_breaks_order(model, eps, omega, window, critical_kind=kind)
+    assert (got is not None) == reference_breaks_order(model, eps, omega,
+                                                       window, kind)
+    assert (got is not None) == (kind == "maximum")
+
+
+@pytest.mark.parametrize("R", [16, 64])
+def test_order_witness_matches_a_fresh_continuation(model1, golden, R):
+    eps = model1.constants.eps1 / 2.0
+    window = Box.centered(R, 1)
+    w = maximum_breaks_order(model1, eps, golden, window)
+    # the same continuation, redone by hand
+    phi = single_well_hull(model1, "maximum")
+    Bp = window.padded(1)
+    x0 = sample_config(phi, golden, generic_parameter(phi, golden, Bp, 0.25),
+                       Bp)
+    x = quasi_newton_continue(model1, eps, x0, window).solution
+    assert w["phase"] == float(np.dot(w["k"], golden)) + w["l"]
+    assert 0 < abs(w["phase"]) <= 0.45
+    # x_{i+k} + l - x_i over the scanned overlap, from the translate
+    scan = x.restrict(window.interior(3))
+    moved = translate(scan, w["k"], w["l"])
+    ovl = scan.domain.intersect(moved.domain)
+    diff = moved.box_values(ovl) - scan.box_values(ovl)
+    assert w["max"] == pytest.approx(float(diff.max()), abs=1e-15)
+    assert w["min"] == pytest.approx(float(diff.min()), abs=1e-15)
+    assert w["min"] < 0 < w["max"]
+    for key, site in (("max", w["site_above"]), ("min", w["site_below"])):
+        at = ovl.index(site)
+        assert diff[at] == pytest.approx(w[key], abs=1e-15)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, eps, w: continue_lamination(m, eps, [0.3, 0.7], w,
+                                          Box.centered(10, 1), 2),
+    lambda m, eps, w: maximum_breaks_order(m, eps, w, Box.centered(10, 1)),
+    lambda m, eps, w: extract_cantorus(
+        m, eps, step_hull_from_simplex([0.3, 0.7], m.potential.minima), w,
+        Box.centered(10, 1), 2),
+    lambda m, eps, w: psi_epsilon(m, eps, [0.3, 0.7], w,
+                                  Box.centered(10, 1), 4),
+])
+def test_entry_points_refuse_a_resonant_omega(model1, entry):
+    # sample_config samples any omega; these check it where they start
+    with pytest.raises(ValueError, match="within 1e-09 of 1/2"):
+        entry(model1, model1.constants.eps1 / 2.0, [0.5])
+
+
+@pytest.mark.parametrize("kind", ["maximum", "minimum"])
+def test_order_search_makes_one_continuation(model1, golden, monkeypatch,
+                                             kind):
+    solo = continuation.quasi_newton_continue
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solo(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "quasi_newton_continue", counted)
+    eps = model1.constants.eps1 / 2.0
+    maximum_breaks_order(model1, eps, golden, Box.centered(32, 1),
+                         critical_kind=kind)
+    assert len(calls) == 1
 
 
 # -- the continuation as first written, kept as the bit-identity reference --

@@ -136,6 +136,13 @@ def test_single_plateau_sampling_matches_ceiling_formula():
     assert np.array_equal(x.values, want)
 
 
+def test_sample_config_samples_rational_omega():
+    # a rational omega gives a periodic configuration: x_{i+2} = x_i + 1
+    phi = step_hull_from_simplex([0.3, 0.7], [0.0, 0.5])
+    x = sample_config(phi, [0.5], 0.1, Box.centered(20, 1))
+    assert np.array_equal(x.values[2:], x.values[:-2] + 1.0)
+
+
 def test_generic_parameter_keeps_clearance():
     phi = step_hull_from_simplex([0.5, 0.5], [0.0, 0.5])
     window = Box.centered(64, 1)

@@ -46,11 +46,25 @@ def test_find_criticals_against_analytic_zeros():
 def test_potential_rejects_bad_critical_data():
     pot = builtin_n_well(1)
     with pytest.raises(ModelInvalid):
-        Potential(pot.value, pot.d1, pot.d2, criticals=[0.1, 0.6],
-                  kinds=["minimum", "maximum"])
+        Potential(pot.value, pot.d1, pot.d2, criticals=[0.1, 0.6])
+    # a lone critical point cannot alternate
     with pytest.raises(ModelInvalid):
-        Potential(pot.value, pot.d1, pot.d2, criticals=[0.0, 0.5],
-                  kinds=["maximum", "minimum"])
+        Potential(pot.value, pot.d1, pot.d2, criticals=[0.0])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda N=N: builtin_n_well(N) for N in (1, 2, 3, 4)),
+    # two unequal wells per period
+    lambda: potential_from_table(
+        -np.cos(TWO_PI * np.arange(64) / 64.0)
+        - 0.8 * np.cos(2 * TWO_PI * np.arange(64) / 64.0 + 0.7)),
+])
+def test_potential_tags_are_the_signs_of_curvature(make):
+    pot = make()
+    assert pot.criticals.size >= 2
+    curv, kinds = pot.d2(pot.criticals), pot.kinds
+    assert kinds == tuple("minimum" if cv > 0 else "maximum" for cv in curv)
+    assert all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
 
 
 def test_potential_rejects_nonperiodic_value():
