@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
                    sample_config, step_hull_from_simplex)
 from .lattice import Box
 from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
-                      pairwise_l1, psi_epsilon, vague_distance_table)
+                      injectivity_pairs, psi_epsilon)
 from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
                     builtin_n_well, potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
@@ -48,6 +49,10 @@ _REFUSALS = (ContinuationRefused, ContractionEscape, LaminationBroken,
 # allocated or written; far above every window the tests and the
 # benchmark run
 MAX_WINDOW_SITES = 2**26
+
+# rows per write of a CSV file, and pairs per block of the injectivity
+# table: the text of one block is all a writer holds at a time
+_BLOCK = 4096
 
 OMEGA_NAMES = {
     "golden": GOLDEN_MEAN,
@@ -286,8 +291,15 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header), *map(",".join, rows)]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header line, then the rows, at most ``_BLOCK`` at a time.
+
+    Each row is joined as soon as it is read, so a block holds only its
+    lines, not the rows they came from."""
+    lines = map(",".join, rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := list(islice(lines, _BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _site_header(d):
@@ -484,18 +496,23 @@ def cmd_measure(spec, out, seed, threads, tol):
             grid.append(weights + [max(tail, 0.0)])
         measures = [psi_epsilon(model, eps, q, omega, window, n, tol=tol)
                     for q in grid]
-        dist = vague_distance_table(measures)
-        l1 = pairwise_l1(np.asarray(grid))
-        a, b = np.triu_indices(len(grid), 1)
+        pairs = injectivity_pairs(grid, measures, _BLOCK)
         names = np.array([str(q) for q in range(len(grid))], object)
+        l1_texts, dist_texts = _Reprs(), _Reprs()
+        margins = []
+
+        def rows():
+            for a, b, l1, dist in pairs:
+                margins.append(float(np.min(dist - l1)))
+                yield from zip(names[a].tolist(), names[b].tolist(),
+                               l1_texts(l1), dist_texts(dist))
+
         _write_csv(out / "injectivity.csv",
-                   ["a", "b", "l1", "vague_distance"],
-                   zip(names[a].tolist(), names[b].tolist(),
-                       _Reprs()(l1), _Reprs()(dist)))
+                   ["a", "b", "l1", "vague_distance"], rows())
         summary["injectivity"] = {
             "grid": grid,
             # a one-point grid has no pairs and no margin
-            "min_margin": float(np.min(dist - l1)) if a.size else None,
+            "min_margin": min(margins) if margins else None,
         }
 
     _write_json(out / "summary.json", summary)

@@ -158,28 +158,45 @@ def vague_distance(a, b):
     return float(total)
 
 
-def pairwise_l1(M):
-    """L1 distance of every pair a < b of rows of the (G, N) matrix M, in
-    ``np.triu_indices(G, 1)`` order: |M[a, j] - M[b, j]| summed left to
-    right from 0.0."""
-    a, b = np.triu_indices(M.shape[0], 1)
+def pairwise_l1(M, a, b):
+    """L1 distance of rows a[k] and b[k] of the matrix M for every k:
+    |M[a, j] - M[b, j]| summed over j, left to right, from 0.0."""
     dist = np.zeros(a.size)
     for j in range(M.shape[1]):
         dist += np.abs(M[a, j] - M[b, j])
     return dist
 
 
-def vague_distance_table(measures):
-    """``vague_distance`` of every pair a < b of measures on one atom array,
-    in ``pairwise_l1``'s order and bit for bit: on shared atoms both sum
-    |m_a[j] - m_b[j]| left to right from 0.0. Measures on different atoms
-    raise ``ValueError``."""
-    if not measures:
-        return np.zeros(0)
-    atoms = measures[0].atoms
-    if any(not np.array_equal(mu.atoms, atoms) for mu in measures):
+def injectivity_pairs(grid, measures, block):
+    """(a, b, l1, vague_distance) arrays of the pairs a < b of grid points,
+    in ``np.triu_indices(len(grid), 1)`` order, one block of whole rows a
+    at a time; a block holds at most ``block`` pairs unless its one row
+    has more.
+
+    ``l1`` is the L1 distance of the weights ``grid[a]`` and ``grid[b]``.
+    ``vague_distance`` equals ``vague_distance(measures[a], measures[b])``
+    bit for bit: on shared atoms both sum |m_a[j] - m_b[j]| left to right
+    from 0.0. Measures on different atoms raise ``ValueError`` here,
+    before the first block is asked for."""
+    if any(not np.array_equal(mu.atoms, measures[0].atoms)
+           for mu in measures):
         raise ValueError("measures do not share one atom array")
-    return pairwise_l1(np.stack([mu.masses for mu in measures]))
+    masses = np.asarray([mu.masses for mu in measures])
+    return _pair_blocks(np.asarray(grid, dtype=float), masses, block)
+
+
+def _pair_blocks(points, masses, block):
+    G = points.shape[0]
+    a0 = 0
+    while a0 < G - 1:
+        a1, size = a0 + 1, G - 1 - a0
+        while a1 < G - 1 and size + G - 1 - a1 <= block:
+            size += G - 1 - a1
+            a1 += 1
+        a = np.repeat(np.arange(a0, a1), np.arange(G - 1 - a0, G - 1 - a1, -1))
+        b = np.concatenate([np.arange(r + 1, G) for r in range(a0, a1)])
+        yield a, b, pairwise_l1(points, a, b), pairwise_l1(masses, a, b)
+        a0 = a1
 
 
 def default_density_radius(window, r):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
                     builtin_n_well, chaotic_momentum_orbit, generic_parameter,
                     psi_epsilon, quasi_newton_continue, residual_field,
                     sample_config, step_hull_from_simplex, vague_distance)
-from lamlab import cli, errors
+from lamlab import cli, errors, verification
 from lamlab.cli import _ALLOWED, MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
 from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
                                  continue_lamination)
@@ -125,6 +126,25 @@ def test_verify_passes_and_prints(tmp_path, capsys):
     assert all("PASS" in l for l in lines)
     report = json.loads((out / "verify.json").read_text())
     assert all(row["passed"] for row in report["checks"])
+
+
+def test_verify_records_a_check_that_raises(tmp_path, capsys, monkeypatch):
+    def boom(model, **kwargs):
+        raise ValueError("not a lamlab error")
+
+    checks = list(verification.CHECKS)
+    checks[3] = (checks[3][0], boom)
+    monkeypatch.setattr(verification, "CHECKS", checks)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 2
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert len(lines) == 9
+    assert [l.split()[1] for l in lines] == ["FAIL" if k == 3 else "PASS"
+                                             for k in range(9)]
+    report = json.loads((out / "verify.json").read_text())["checks"]
+    assert [row["name"] for row in report] == [n for n, _ in checks]
+    assert [row["passed"] for row in report] == [k != 3 for k in range(9)]
+    assert report[3]["detail"] == "ValueError: not a lamlab error"
 
 
 @pytest.mark.parametrize("seed", ["15", "22"])
@@ -418,6 +438,19 @@ def per_pair_injectivity(grid, measures):
 @pytest.mark.parametrize("wells,spacing", [(2, 0.25), (3, 0.25), (3, 0.3)])
 def test_injectivity_table_matches_per_pair_loop(tmp_path, monkeypatch,
                                                  wells, spacing):
+    check_injectivity_table(tmp_path, monkeypatch, wells, spacing)
+
+
+# blocks of 1, 5 and 7 pairs cut the grid's rows a unevenly
+@pytest.mark.parametrize("wells,spacing", [(2, 0.25), (3, 0.25), (3, 0.3)])
+@pytest.mark.parametrize("block", [1, 5, 7])
+def test_injectivity_table_in_blocks_matches_per_pair_loop(
+        tmp_path, monkeypatch, block, wells, spacing):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    check_injectivity_table(tmp_path, monkeypatch, wells, spacing)
+
+
+def check_injectivity_table(tmp_path, monkeypatch, wells, spacing):
     measures = []
 
     def recording(*args, **kwargs):
@@ -436,6 +469,30 @@ def test_injectivity_table_matches_per_pair_loop(tmp_path, monkeypatch,
     csv, margin = per_pair_injectivity(grid["grid"], measures[1:])
     assert (out / "injectivity.csv").read_bytes() == csv
     assert grid["min_margin"] == margin
+
+
+def measure_peak_bytes(tmp_path, spacing):
+    body = dict(BASE, model={"potential": {"kind": "n_well", "N": 3}},
+                p=[1.0 / 3] * 3, n=8, injectivity={"spacing": spacing})
+    spec = write_spec(tmp_path, f"m{spacing}.json", body)
+    tracemalloc.start()
+    try:
+        assert main(["measure", "--spec", spec,
+                     "--out", str(tmp_path / f"o{spacing}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_peak_memory_does_not_grow_with_pairs(tmp_path):
+    # 231 grid points (26,565 pairs) against 861 (370,230 pairs): both
+    # tables fill many blocks and are written a block at a time, so only
+    # the grid's own measures may add to the peak. Both runs span whole
+    # blocks, so the bound holds whether or not this interpreter has
+    # warmed its caches on earlier tests.
+    small = measure_peak_bytes(tmp_path, 0.05)
+    large = measure_peak_bytes(tmp_path, 0.025)
+    assert large <= 2 * small
 
 
 def test_one_point_injectivity_grid_writes_strict_json(tmp_path):
@@ -844,6 +901,23 @@ def test_reprs_keep_both_zeros_apart():
     text = _Reprs()
     assert text(np.array([0.0, 0.0])) == ["0.0", "0.0"]
     assert text(np.array([-0.0, 0.0, -0.0])) == ["-0.0", "0.0", "-0.0"]
+
+
+def whole_text_csv(path, header, rows):
+    # reference: the writer that joined the whole file before writing it
+    lines = [",".join(header), *map(",".join, rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 7])
+def test_csv_blocks_match_whole_text_writer(tmp_path, monkeypatch, n_rows):
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    rows = [[str(i), repr(i / 3.0), ""] for i in range(n_rows)]
+    cli._write_csv(tmp_path / "blocks.csv", ["i", "x", "residual"],
+                   (row for row in rows))
+    whole_text_csv(tmp_path / "whole.csv", ["i", "x", "residual"], rows)
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "whole.csv").read_bytes())
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -13,6 +13,7 @@ from lamlab import (
     builtin_harmonic_stencil,
     builtin_n_well,
     generic_parameter,
+    injectivity_pairs,
     measure_from_density,
     measure_from_hull,
     psi_epsilon,
@@ -20,7 +21,6 @@ from lamlab import (
     sample_config,
     step_hull_from_simplex,
     vague_distance,
-    vague_distance_table,
 )
 
 WELLS = np.asarray([0.0, 0.5])
@@ -163,11 +163,22 @@ def test_vague_distance_cases():
 
 
 def assert_table_matches_pairs(measures):
-    table = vague_distance_table(measures)
-    a, b = np.triu_indices(len(measures), 1)
-    assert table.shape == a.shape
-    for k in range(a.size):
-        assert table[k] == vague_distance(measures[a[k]], measures[b[k]])
+    # each measure's masses are its grid point, so the l1 and the vague
+    # distance columns sum the same numbers in the same order
+    grid = [mu.masses for mu in measures]
+    want_a, want_b = np.triu_indices(len(measures), 1)
+    for block in (1, 5, 4096):
+        blocks = list(injectivity_pairs(grid, measures, block))
+        a, b, l1, dist = (np.concatenate(col) for col in zip(*blocks))
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        assert np.array_equal(l1, dist)
+        for k in range(a.size):
+            assert dist[k] == vague_distance(measures[a[k]], measures[b[k]])
+        # whole rows a per block, at most block pairs unless one row
+        for block_a, *_ in blocks:
+            assert block_a.size <= block or block_a[0] == block_a[-1]
+        for before, after in zip(blocks, blocks[1:]):
+            assert before[0][-1] < after[0][0]
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -181,7 +192,8 @@ def test_vague_distance_table_matches_pairs(n_atoms):
     measures.append(CircleMeasure(atoms, np.eye(n_atoms)[0]))
     measures.append(CircleMeasure(atoms, np.eye(n_atoms)[-1]))
     assert_table_matches_pairs(measures)
-    assert vague_distance_table(measures[:1]).shape == (0,)
+    assert list(injectivity_pairs([masses[0]], measures[:1], 4)) == []
+    assert list(injectivity_pairs([], [], 4)) == []
 
 
 def test_vague_distance_table_of_psi_epsilon(golden):
@@ -197,11 +209,12 @@ def test_vague_distance_table_of_psi_epsilon(golden):
 
 
 def test_vague_distance_table_needs_one_atom_array():
+    # refused when called, before the first block is asked for
     mu = CircleMeasure([0.0, 0.5], [0.3, 0.7])
-    with pytest.raises(ValueError):
-        vague_distance_table([mu, CircleMeasure([0.0, 0.25], [0.3, 0.7])])
-    with pytest.raises(ValueError):
-        vague_distance_table([mu, CircleMeasure([0.0], [1.0])])
+    for other in (CircleMeasure([0.0, 0.25], [0.3, 0.7]),
+                  CircleMeasure([0.0], [1.0])):
+        with pytest.raises(ValueError):
+            injectivity_pairs([[0.3], [0.7]], [mu, other], 4)
 
 
 def test_psi_epsilon_recovers_simplex(model1, golden):
