@@ -302,6 +302,67 @@ def _write_csv(path, header, rows):
             fh.write("\n".join(block) + "\n")
 
 
+def _in_workers(n, workers, work):
+    """Call ``work`` on contiguous ranges that cover ``range(n)``, one per
+    worker: the first range in this process, each other one in a child
+    forked for it. At most ``n`` workers run, and one where ``os.fork``
+    does not exist.
+
+    A child leaves by ``os._exit``, so no buffer, exit hook or tracer
+    inherited from this process runs twice, and it reports a failure as
+    one line over a pipe. Every child is waited for, even when this
+    process's own range raises; then a child's failure is raised here
+    as an ``OSError``."""
+    workers = max(1, min(workers, n)) if hasattr(os, "fork") else 1
+    cuts = [n * w // workers for w in range(workers + 1)]
+    parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, part, write)
+                children.append((pid, read))
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+        work(parts[0])
+    finally:
+        failures = [_reap(pid, read) for pid, read in children]
+    for failure in failures:
+        if failure is not None:
+            raise OSError(failure)
+
+
+def _child(work, part, write):
+    """Body of a forked worker: never returns."""
+    code = 1
+    try:
+        work(part)
+        code = 0
+    except BaseException as exc:
+        os.write(write, " ".join(str(exc).splitlines()).encode())
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, read):
+    """Wait for the worker ``pid``; None if it succeeded, else the line
+    it sent over the pipe ``read``."""
+    try:
+        with open(read, "rb") as pipe:
+            line = pipe.read().decode(errors="replace")
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    return line or f"worker process {pid} exited with status {code}"
+
+
 def _site_header(d):
     return ["i"] if d == 1 else [f"i{a + 1}" for a in range(d)]
 
@@ -324,13 +385,13 @@ def _manifest(out, command, effective, model, seed, tol):
 class _Reprs:
     """``repr`` of float arrays, one column after another.
 
-    ``repr`` runs once per distinct float64 bit pattern of a column, and
-    a pattern the previous column already formatted takes its text from
-    that column's table. Neighbouring lamination members share most of
-    their values site by site, so most patterns are found there. Keys
-    are bit patterns, not float values: -0.0 == 0.0, yet the two print
-    differently, and NaN equals nothing, not even itself. Only the
-    previous column's table is held.
+    A column as long as the previous one keeps that column's text at
+    every cell whose bits did not change; neighbouring lamination
+    members share most of their values site by site. The cells left
+    over, or a whole column of another length, are formatted once per
+    distinct float64 bit pattern. Bits, not float values, decide:
+    -0.0 == 0.0, yet the two print differently, and NaN equals nothing,
+    not even itself. Only the previous column is held.
     """
 
     def __init__(self):
@@ -339,17 +400,25 @@ class _Reprs:
 
     def __call__(self, values):
         """Texts of the entries of ``values``, in row-major order."""
-        flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        at = np.searchsorted(self._bits, bits)
-        seen = at < self._bits.size
-        seen[seen] = self._bits[at[seen]] == bits[seen]
-        texts = np.empty(bits.size, object)
-        texts[seen] = self._texts[at[seen]]
-        new = bits[~seen].view(np.float64)
-        texts[~seen] = list(map(repr, new.tolist()))
+        bits = np.array(values, np.float64, order="C").reshape(-1) \
+            .view(np.int64)
+        if bits.size == self._bits.size:
+            texts = self._texts.copy()
+            changed = np.flatnonzero(bits != self._bits)
+            texts[changed] = _distinct_reprs(bits[changed])
+        else:
+            texts = _distinct_reprs(bits)
         self._bits, self._texts = bits, texts
-        return texts[inverse].tolist()
+        return texts.tolist()
+
+
+def _distinct_reprs(bits):
+    """Object array of the texts of float64 bit patterns, ``repr`` run
+    once per distinct pattern."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.empty(distinct.size, object)
+    texts[:] = list(map(repr, distinct.view(np.float64).tolist()))
+    return texts[inverse]
 
 
 class _SolutionTable:
@@ -430,10 +499,15 @@ def cmd_lamination(spec, out, seed, threads, tol):
     lam = continue_lamination(model, eps, p, omega, window, n_samples,
                               tol=tol, k_max=k_max)
     table = _SolutionTable(model, eps, window)
-    for j, member in enumerate(lam.members):
-        _write_csv(out / f"member_{j:03d}.csv", table.header,
-                   table.rows(member.labels, member))
+
+    def write(part):
+        for j in part:
+            member = lam.members[j]
+            _write_csv(out / f"member_{j:03d}.csv", table.header,
+                       table.rows(member.labels, member))
+
     n = len(lam.members)
+    _in_workers(n, threads, write)
     _write_csv(out / "ordering_matrix.csv", [f"m{b}" for b in range(n)],
                lam.order)
     _write_json(out / "summary.json", {
@@ -494,8 +568,9 @@ def cmd_measure(spec, out, seed, threads, tol):
             if tail < -1e-12:
                 continue
             grid.append(weights + [max(tail, 0.0)])
-        measures = [psi_epsilon(model, eps, q, omega, window, n, tol=tol)
-                    for q in grid]
+        # each measure is dropped once its masses are stacked
+        measures = (psi_epsilon(model, eps, q, omega, window, n, tol=tol)
+                    for q in grid)
         pairs = injectivity_pairs(grid, measures, _BLOCK)
         names = np.array([str(q) for q in range(len(grid))], object)
         l1_texts, dist_texts = _Reprs(), _Reprs()
@@ -686,13 +761,27 @@ def _build_parser():
     return parser
 
 
+def _default_threads():
+    """Workers when --threads is not given: ``LAMLAB_THREADS``, else the
+    number of CPUs this process may run on."""
+    raw = os.environ.get("LAMLAB_THREADS")
+    if raw is not None:
+        try:
+            return int(raw)
+        except ValueError:
+            raise SchemaError(f"LAMLAB_THREADS must be an integer, not {raw!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("LAMLAB_THREADS", "1"))
+            threads = _default_threads()
         if threads < 1:
             raise SchemaError("threads must be at least 1")
         if not (math.isfinite(args.tol) and args.tol > 0.0):

@@ -123,8 +123,12 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
 
 
 def _check_labels(potential, values, require_minima=False):
-    # distance mod 1 from every value to every critical point
-    dist = np.abs(np.mod(values, 1.0)[..., None] - potential.criticals)
+    # distance mod 1 from every distinct value to every critical point;
+    # NaN != NaN, so every NaN is kept and still poisons the verdict
+    values = np.sort(np.mod(values, 1.0), axis=None)
+    keep = np.ones(values.size, bool)
+    keep[1:] = values[1:] != values[:-1]
+    dist = np.abs(values[keep][:, None] - potential.criticals)
     dist = np.minimum(dist, 1.0 - dist)
     worst = float(dist.min(axis=-1).max())
     if worst > LABEL_TOL:

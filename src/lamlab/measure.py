@@ -176,12 +176,25 @@ def injectivity_pairs(grid, measures, block):
     ``l1`` is the L1 distance of the weights ``grid[a]`` and ``grid[b]``.
     ``vague_distance`` equals ``vague_distance(measures[a], measures[b])``
     bit for bit: on shared atoms both sum |m_a[j] - m_b[j]| left to right
-    from 0.0. Measures on different atoms raise ``ValueError`` here,
-    before the first block is asked for."""
-    if any(not np.array_equal(mu.atoms, measures[0].atoms)
-           for mu in measures):
-        raise ValueError("measures do not share one atom array")
-    masses = np.asarray([mu.masses for mu in measures])
+    from 0.0.
+
+    ``measures`` may be any iterable, a generator included. It is read
+    here, before the first block is asked for: each measure's atoms are
+    checked against the first one's as it arrives, and only its masses
+    are kept, stacked. Measures on different atoms raise ``ValueError``."""
+    measures = iter(measures)
+    first = next(measures, None)
+    if first is None:
+        masses = np.empty((0, 0))
+    else:
+        def checked():
+            yield first.masses
+            for mu in measures:
+                if not np.array_equal(mu.atoms, first.atoms):
+                    raise ValueError("measures do not share one atom array")
+                yield mu.masses
+
+        masses = np.fromiter(checked(), np.dtype((float, first.atoms.size)))
     return _pair_blocks(np.asarray(grid, dtype=float), masses, block)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -65,18 +66,90 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_threading_does_not_change_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("LAMLAB_THREADS", raising=False)
     spec = write_spec(tmp_path, "s.json",
                       dict(BASE, window_radius=6, n_samples=4))
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert main(["lamination", "--spec", spec, "--out", str(a)]) == 0
-    assert main(["lamination", "--spec", spec, "--out", str(b),
-                 "--threads", "3"]) == 0
+    runs = {"default": []}
+    for threads in ("1", "2", "3"):
+        runs[threads] = ["--threads", threads]
+    for name, extra in runs.items():
+        assert main(["lamination", "--spec", spec,
+                     "--out", str(tmp_path / name), *extra]) == 0
     monkeypatch.setenv("LAMLAB_THREADS", "2")
-    assert main(["lamination", "--spec", spec, "--out", str(c)]) == 0
-    assert read_dir(a) == read_dir(b) == read_dir(c)
-    names = set(read_dir(a))
+    assert main(["lamination", "--spec", spec,
+                 "--out", str(tmp_path / "env")]) == 0
+    want = read_dir(tmp_path / "1")
+    for name in [*runs, "env"]:
+        assert read_dir(tmp_path / name) == want, name
     assert {"manifest.json", "ordering_matrix.csv", "summary.json",
-            "member_000.csv", "member_003.csv"} <= names
+            "member_000.csv", "member_003.csv"} <= set(want)
+
+
+def test_more_workers_than_members_change_no_bytes(tmp_path):
+    spec = write_spec(tmp_path, "s.json",
+                      dict(BASE, window_radius=6, n_samples=2))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["lamination", "--spec", spec, "--out", str(a),
+                 "--threads", "1"]) == 0
+    assert main(["lamination", "--spec", spec, "--out", str(b),
+                 "--threads", "4"]) == 0
+    assert read_dir(a) == read_dir(b)
+    assert {"member_000.csv", "member_001.csv"} <= set(read_dir(a))
+
+
+def test_one_worker_forks_nothing(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked with one worker")
+
+    monkeypatch.setattr(cli.os, "fork", refuse)
+    spec = write_spec(tmp_path, "s.json",
+                      dict(BASE, window_radius=6, n_samples=3))
+    assert main(["lamination", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--threads", "1"]) == 0
+
+
+# members 0-1 fall to this process and members 2-3 to the forked child
+@pytest.mark.parametrize("blocked", ["member_003.csv", "member_001.csv"])
+def test_failing_worker_exits_1_and_leaves_no_child(tmp_path, capsys,
+                                                    blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    spec = write_spec(tmp_path, "s.json",
+                      dict(BASE, window_radius=6, n_samples=4))
+    err = exits_with_one_line(capsys, ["lamination", "--spec", spec,
+                                       "--out", str(out), "--threads", "2"], 1)
+    assert blocked in err
+    assert not (out / "summary.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_that_dies_silently_is_reported():
+    def work(part):
+        if 1 in part:
+            os._exit(3)
+
+    with pytest.raises(OSError, match="exited with status 3"):
+        cli._in_workers(2, 2, work)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "LAMLAB_THREADS must be an integer, not 'abc'"),
+    ("0", "threads must be at least 1"),
+])
+def test_bad_threads_variable_exits_1(tmp_path, capsys, monkeypatch, value,
+                                      message):
+    monkeypatch.setenv("LAMLAB_THREADS", value)
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, ["continue", "--spec", write_spec(tmp_path, "s.json", BASE),
+                 "--out", str(out)], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+    err = exits_with_one_line(capsys, ["verify"], 1)
+    assert err == f"error: {message}\n"
 
 
 def test_schema_problems_exit_1(tmp_path):
@@ -821,7 +894,8 @@ def test_sweep_cli(tmp_path):
         "window_radius": 6,
     })
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", "--spec", spec, "--out", str(a)]) == 0
+    assert main(["sweep", "--spec", spec, "--out", str(a),
+                 "--threads", "1"]) == 0
     assert main(["sweep", "--spec", spec, "--out", str(b),
                  "--threads", "2"]) == 0
     assert read_dir(a) == read_dir(b)
@@ -901,6 +975,18 @@ def test_reprs_keep_both_zeros_apart():
     text = _Reprs()
     assert text(np.array([0.0, 0.0])) == ["0.0", "0.0"]
     assert text(np.array([-0.0, 0.0, -0.0])) == ["-0.0", "0.0", "-0.0"]
+
+
+def test_reprs_reuse_unchanged_cells_only():
+    text = _Reprs()
+    a = np.array([0.0, 1.5, np.nan, -0.0, 2.0])
+    assert text(a) == list(map(repr, a.tolist()))
+    # the caller's array changes in place: -0.0 and 0.0 trade places
+    # and the NaN becomes a number; the texts follow the new bits
+    a[[0, 2, 3]] = [-0.0, 1.5, 0.0]
+    assert text(a) == ["-0.0", "1.5", "1.5", "0.0", "2.0"]
+    assert text(a.reshape(1, 5)) == ["-0.0", "1.5", "1.5", "0.0", "2.0"]
+    assert text(np.array([2.0, np.inf])) == ["2.0", "inf"]
 
 
 def whole_text_csv(path, header, rows):

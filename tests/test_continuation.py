@@ -540,6 +540,54 @@ def reference_check_labels(potential, values):
             f"{float(np.max(dist)):.3g}")
 
 
+def per_site_check_labels(potential, values, require_minima=False):
+    # the (sites x criticals) distance array the check used to build
+    dist = np.abs(np.mod(values, 1.0)[..., None] - potential.criticals)
+    dist = np.minimum(dist, 1.0 - dist)
+    worst = float(dist.min(axis=-1).max())
+    if worst > LABEL_TOL:
+        raise ContinuationRefused(
+            f"labels must sit at critical points; worst offset {worst:.3g}"
+        )
+    if require_minima:
+        at_minimum = np.asarray(potential.kinds) == "minimum"
+        if not np.all(at_minimum[np.argmin(dist, axis=-1)]):
+            raise ContinuationRefused(
+                "this calculus requires labels at local minima")
+
+
+def check_outcome(check, *args):
+    try:
+        check(*args)
+    except ContinuationRefused as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("require_minima", [False, True])
+def test_label_check_over_distinct_values_matches_per_site(
+        model1, seed, require_minima):
+    rng = np.random.default_rng(seed)
+    pool = model1.potential.criticals if seed < 3 else model1.potential.minima
+    # repeated critical values, shifted by whole turns, with both zeros,
+    # a few off by more or less than LABEL_TOL, and NaN
+    values = pool[rng.integers(pool.size, size=(7, 9))] \
+        + rng.integers(-2, 3, size=(7, 9))
+    values[0, :2] = [0.0, -0.0]
+    if seed % 3 == 1:
+        values[1, rng.integers(9, size=2)] += [LABEL_TOL / 2, 1e-3 * seed]
+    if seed % 3 == 2:
+        values[2, 3] = np.nan
+    want = check_outcome(per_site_check_labels, model1.potential, values,
+                         require_minima)
+    got = check_outcome(continuation._check_labels, model1.potential,
+                        values, require_minima)
+    assert got == want
+    assert got == check_outcome(continuation._check_labels, model1.potential,
+                                values.ravel()[::-1], require_minima)
+
+
 def reference_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
     # three copies: the restricted labels, the iterate and the solution
     _refuse_coupling(model.constants, eps, "eps0")

@@ -168,7 +168,8 @@ def assert_table_matches_pairs(measures):
     grid = [mu.masses for mu in measures]
     want_a, want_b = np.triu_indices(len(measures), 1)
     for block in (1, 5, 4096):
-        blocks = list(injectivity_pairs(grid, measures, block))
+        # a generator of measures is read once, as a list is
+        blocks = list(injectivity_pairs(grid, iter(measures), block))
         a, b, l1, dist = (np.concatenate(col) for col in zip(*blocks))
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
         assert np.array_equal(l1, dist)
@@ -215,6 +216,11 @@ def test_vague_distance_table_needs_one_atom_array():
                   CircleMeasure([0.0], [1.0])):
         with pytest.raises(ValueError):
             injectivity_pairs([[0.3], [0.7]], [mu, other], 4)
+    # a generator is read only up to the first measure that differs
+    rest = iter([mu, other, mu])
+    with pytest.raises(ValueError):
+        injectivity_pairs([[0.3], [0.7], [0.3]], rest, 4)
+    assert next(rest) is mu
 
 
 def test_psi_epsilon_recovers_simplex(model1, golden):
