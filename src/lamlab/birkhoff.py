@@ -3,13 +3,15 @@
 The lattice group acts on configurations by tau_{k,l} x_i = x_{i+k} + l.
 A configuration is Birkhoff when every translate compares with it in the
 pointwise partial order, never crossing it. On a finite window the check
-is over translates with |k| and |l| bounded; crossings come with an
-explicit witness. The min/max inequality and the strong comparison
-principle are the order-theoretic workhorses behind gluing solutions into
-laminations, and both are checkable on finite boxes.
+is over translates with |k| bounded, and each k has one candidate lift l;
+crossings come with an explicit witness. The min/max inequality and the
+strong comparison principle are the order-theoretic workhorses behind
+gluing solutions into laminations, and both are checkable on finite
+boxes.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,74 +38,53 @@ class OrderVerdict:
     """Outcome of a Birkhoff order scan over a family of translates."""
     ordered: bool
     violation: tuple | None
-    ties: list = field(default_factory=list)
-    degenerate: list = field(default_factory=list)
-    k_max: int = 0
-    l_max: int = 0
 
 
-def check_birkhoff(x, k_max, l_max=None, tol=TIE_TOL):
-    """Scan all translates with |k|_inf <= k_max, |l| <= l_max for order.
+def check_birkhoff(x, k_max, tol=TIE_TOL):
+    """Scan all translates with |k|_inf <= k_max for a crossing of x.
 
-    Returns an OrderVerdict. ``violation`` holds (k, l, i, j) where the
-    translate is above x at site i and below at site j. ``ties`` collects
-    translates that touch x somewhere without crossing; ``degenerate``
-    collects translates indistinguishable from x on the whole overlap,
-    which signals a resonant sample rather than a crossing.
+    Returns an OrderVerdict. ``violation`` holds (k, l, i, j) for the
+    first crossing k in lexicographic order: the translate tau_{k,l} x
+    is above x at site i and below it at site j.
 
     Pass only sites whose values are free of boundary effects: a window
     solution must be restricted away from its frozen collar first, since
     collar-adjacent values are biased at second order in the coupling
     and a translate can pair them against unbiased bulk values.
 
-    For each k only the l in [ceil(-max - tol), floor(-min + tol)] are
-    scanned, where max and min are the extremes of x_{i+k} - x_i over
-    the overlap, widened by one on each side against rounding in ceil
-    and floor. Every l below that range puts the translate strictly
-    below x and every l above it strictly above, so none of them can
-    cross, tie or be degenerate; the scanned l still rise within each k,
-    so the verdict, the witness and the order of ``ties`` and
-    ``degenerate`` are those of the full scan over [-l_max, l_max].
+    Only the k whose translate overlaps the window are visited, so a
+    k_max beyond the window costs nothing. With max and min the extremes
+    of x_{i+k} - x_i over the overlap, the translate is above x somewhere
+    (max + l > tol) only from some l on, and below it somewhere
+    (min + l < -tol) only up to some l; so k crosses exactly when the
+    least l of the first kind is also of the second, and that l is the
+    one witness tried.
     """
-    d = x.domain.d
-    if l_max is None:
-        spread = float(np.max(x.values) - np.min(x.values))
-        l_max = int(np.ceil(spread)) + 1
-    verdict = OrderVerdict(True, None, [], [], int(k_max), int(l_max))
-    shifted_overlaps = 0
-    for k in Box.centered(int(k_max), d).sites():
-        ovl = x.domain.intersect(x.domain.shift(-k))
-        if ovl is None:
-            continue
-        if np.any(k):
-            shifted_overlaps += 1
-        base = (x.values[ovl.shift(k).slice_in(x.domain)]
-                - x.values[ovl.slice_in(x.domain)])
-        flat = base.ravel()
-        hi_at = int(np.argmax(flat))
-        lo_at = int(np.argmin(flat))
-        mx, mn = float(flat[hi_at]), float(flat[lo_at])
-        l_lo = max(-l_max, int(np.ceil(-mx - tol)) - 1)
-        l_hi = min(l_max, int(np.floor(-mn + tol)) + 1)
-        for l in range(l_lo, l_hi + 1):
-            if l == 0 and not np.any(k):
-                continue
-            above = mx + l > tol
-            below = mn + l < -tol
-            if above and below:
-                sites = ovl.sites()
-                witness = (tuple(k.tolist()), l,
-                           tuple(sites[hi_at].tolist()), tuple(sites[lo_at].tolist()))
-                return OrderVerdict(False, witness, verdict.ties,
-                                    verdict.degenerate, int(k_max), int(l_max))
-            if not above and not below:
-                verdict.degenerate.append((tuple(k.tolist()), l))
-            elif mx + l >= -tol and mn + l <= tol:
-                # touches the zero level without crossing it
-                verdict.ties.append((tuple(k.tolist()), l))
-    if int(k_max) > 0 and shifted_overlaps == 0:
+    dom = x.domain
+    if not np.ptp(x.values) < 2.0 ** 52:
+        # then |mx| < 2**52, so tol - mx rounds by at most 1/2 and mx + l
+        # is exact near tol: one corrective step of l below suffices
+        raise ValueError("configuration values must span less than 2**52")
+    reach = tuple(min(int(k_max), n - 1) for n in dom.shape)
+    if int(k_max) > 0 and not any(reach):
         raise ValueError("window too small: no shifted translate overlaps it")
-    return verdict
+    for k in Box(tuple(-a for a in reach), reach).sites():
+        ovl = dom.intersect(dom.shift(-k))
+        flat = (x.values[ovl.shift(k).slice_in(dom)]
+                - x.values[ovl.slice_in(dom)]).ravel()
+        hi_at, lo_at = int(np.argmax(flat)), int(np.argmin(flat))
+        mx, mn = float(flat[hi_at]), float(flat[lo_at])
+        # the least l with mx + l > tol; tol - mx may round up onto the
+        # next integer, never down, so floor can only overshoot by one
+        l = math.floor(tol - mx) + 1
+        if mx + (l - 1) > tol:
+            l -= 1
+        if mn + l < -tol:
+            sites = ovl.sites()
+            return OrderVerdict(False, (tuple(k.tolist()), l,
+                                        tuple(sites[hi_at].tolist()),
+                                        tuple(sites[lo_at].tolist())))
+    return OrderVerdict(True, None)
 
 
 def meet_join(x, y):

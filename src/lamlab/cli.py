@@ -254,8 +254,8 @@ def _setup(spec, radius=None):
     """Model, omega, coupling and window of a spec command, parsed once.
 
     The coupling is ``eps``, or the list ``eps_values`` for ``sweep``;
-    ``radius(d)`` is called only if the spec has no window_radius, and
-    gives the window radius in dimension d.
+    ``radius(stencil)`` is called only if the spec has no window_radius,
+    and gives the window radius for that stencil.
     Returns them and the manifest entries they fill."""
     potential, stencil, K, k = _model_parts(spec)
     omega = _parse_omega(spec["omega"], stencil.d)
@@ -267,7 +267,7 @@ def _setup(spec, radius=None):
         eps = [_parse_eps(v, model.constants) for v in eps]
     else:
         key, eps = "eps", _parse_eps(spec["eps"], model.constants)
-    default = (radius(stencil.d)
+    default = (radius(stencil)
                if radius is not None and "window_radius" not in spec else None)
     window = _parse_window(spec, stencil, default)
     effective = {"omega": [float(w) for w in omega], key: eps,
@@ -520,14 +520,15 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
-    def ball_radius(d):
-        # a spec without window_radius gets the window of its ball radius
+    def ball_radius(stencil):
+        # a spec without window_radius gets the window of its ball radius,
+        # or the smallest window if that radius is smaller
         if "n" in spec:
-            return spec["n"]
-        if d not in DEFAULT_DENSITY_RADIUS:
+            return max(_integer(spec["n"], "n", 1), stencil.range + 1)
+        if stencil.d not in DEFAULT_DENSITY_RADIUS:
             raise SchemaError("no default ball radius in this dimension; "
                               "pass n")
-        return DEFAULT_DENSITY_RADIUS[d]
+        return DEFAULT_DENSITY_RADIUS[stencil.d]
 
     model, omega, eps, window, effective = _setup(spec, ball_radius)
     r = model.stencil.range
@@ -605,7 +606,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
         return _cmd_momentum(spec, out, seed, tol)
     if spec.get("omega") is None:
         raise SchemaError("cantorus mode needs omega")
-    model, omega, eps, window, effective = _setup(spec, lambda d: 16)
+    model, omega, eps, window, effective = _setup(spec, lambda stencil: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     wells = spec.get("wells", "minima")
     if wells == "minima":
@@ -761,18 +762,23 @@ def _build_parser():
     return parser
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _default_threads():
     """Workers when --threads is not given: ``LAMLAB_THREADS``, else the
-    number of CPUs this process may run on."""
+    usable CPUs."""
     raw = os.environ.get("LAMLAB_THREADS")
     if raw is not None:
         try:
             return int(raw)
         except ValueError:
             raise SchemaError(f"LAMLAB_THREADS must be an integer, not {raw!r}")
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def main(argv=None):
@@ -784,6 +790,8 @@ def main(argv=None):
             threads = _default_threads()
         if threads < 1:
             raise SchemaError("threads must be at least 1")
+        # more workers than CPUs cannot finish sooner
+        threads = min(threads, _usable_cpus())
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise SchemaError("tol must be a positive finite number")
         spec = None

@@ -51,7 +51,6 @@ def full_scan(x, k_max, l_max=None, tol=TIE_TOL):
     if l_max is None:
         spread = float(np.max(x.values) - np.min(x.values))
         l_max = int(np.ceil(spread)) + 1
-    verdict = OrderVerdict(True, None, [], [], int(k_max), int(l_max))
     for k in Box.centered(int(k_max), d).sites():
         ovl = x.domain.intersect(x.domain.shift(-k))
         if ovl is None:
@@ -63,23 +62,16 @@ def full_scan(x, k_max, l_max=None, tol=TIE_TOL):
         for l in range(-l_max, l_max + 1):
             if l == 0 and not np.any(k):
                 continue
-            above = mx + l > tol
-            below = mn + l < -tol
-            if above and below:
+            if mx + l > tol and mn + l < -tol:
                 sites = ovl.sites()
                 witness = (tuple(k.tolist()), l, tuple(sites[hi_at].tolist()),
                            tuple(sites[lo_at].tolist()))
-                return OrderVerdict(False, witness, verdict.ties,
-                                    verdict.degenerate, int(k_max), int(l_max))
-            if not above and not below:
-                verdict.degenerate.append((tuple(k.tolist()), l))
-            elif mx + l >= -tol and mn + l <= tol:
-                verdict.ties.append((tuple(k.tolist()), l))
-    return verdict
+                return OrderVerdict(False, witness)
+    return OrderVerdict(True, None)
 
 
 def assert_same_as_full_scan(x, k_max, l_max=None, tol=TIE_TOL):
-    got = check_birkhoff(x, k_max, l_max, tol)
+    got = check_birkhoff(x, k_max, tol)
     assert got == full_scan(x, k_max, l_max, tol)
     return got
 
@@ -97,27 +89,30 @@ def test_short_scan_matches_full_scan_on_ties_and_degenerate_pairs():
     # so k = 2, l = -1 reproduces the configuration on the overlap
     got = assert_same_as_full_scan(staircase(Box.centered(12, 1),
                                              [GOLDEN_MEAN]), 4)
-    assert got.ordered and got.ties
+    assert got.ordered
     got = assert_same_as_full_scan(staircase(Box.centered(12, 1), [0.5]), 4)
-    assert got.ordered and ((2,), -1) in got.degenerate and got.ties
+    assert got.ordered
 
 
 def test_short_scan_matches_full_scan_with_a_small_l_max():
+    # an ordered staircase has no crossing at any l_max; a crossing's lift
+    # stays inside the reference's default l_max, ceil(spread) + 1
     x = staircase(Box.centered(30, 1), [GOLDEN_MEAN])
     for l_max in (0, 1, 2):
-        got = assert_same_as_full_scan(x, 6, l_max=l_max)
-        assert got.l_max == l_max
+        assert check_birkhoff(x, 6) == full_scan(x, 6, l_max)
     vals = x.values.copy()
     vals[5], vals[50] = vals[50], vals[5]
-    assert_same_as_full_scan(Configuration(x.domain, vals), 6, l_max=1)
+    got = assert_same_as_full_scan(Configuration(x.domain, vals), 6)
+    spread = np.max(vals) - np.min(vals)
+    assert not got.ordered and abs(got.violation[1]) <= np.ceil(spread)
 
 
 def test_short_scan_skips_the_identity_translate():
+    # k = 0 gets the lift l = 1, which cannot cross
     x = staircase(Box.centered(8, 1), [GOLDEN_MEAN])
     got = assert_same_as_full_scan(x, 0)
-    assert got.ordered and got.degenerate == [] and got.ties == []
-    got = assert_same_as_full_scan(x, 2)
-    assert ((0,), 0) not in got.degenerate + got.ties
+    assert got.ordered
+    assert assert_same_as_full_scan(x, 2).ordered
 
 
 def test_short_scan_matches_full_scan_in_two_dimensions():
@@ -130,20 +125,84 @@ def test_short_scan_matches_full_scan_in_two_dimensions():
     assert not got.ordered
 
 
+NEAR_TOL = [TIE_TOL, -TIE_TOL, np.nextafter(TIE_TOL, 0.0),
+            np.nextafter(TIE_TOL, 1.0), -np.nextafter(TIE_TOL, 0.0),
+            -np.nextafter(TIE_TOL, 1.0)]
+
+
 def test_short_scan_matches_full_scan_at_the_tie_tolerance():
     # differences land on +-tol and one ulp either side, plus integers
-    tol = TIE_TOL
-    near = [tol, -tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
-            -np.nextafter(tol, 0.0), -np.nextafter(tol, 1.0)]
     for lift in (0.0, 1.0, -2.0, 3.0):
-        for v in near:
+        for v in NEAR_TOL:
             x = Configuration(Box([0], [2]), [0.0, lift + v, 0.0])
             assert_same_as_full_scan(x, 2)
             assert_same_as_full_scan(x, 2, l_max=4)
     rng = np.random.default_rng(11)
     for _ in range(200):
-        vals = rng.integers(-3, 4, 7) + rng.choice(near + [0.0], 7)
+        vals = rng.integers(-3, 4, 7) + rng.choice(NEAR_TOL + [0.0], 7)
         assert_same_as_full_scan(Configuration(Box([0], [6]), vals), 3)
+
+
+def random_window_values(rng, shape):
+    kind = rng.integers(3)
+    if kind == 0:
+        # integers, some nudged onto +-tol or one ulp either side of it
+        return (rng.integers(-3, 4, shape)
+                + rng.choice(NEAR_TOL + [0.0] * 6, shape))
+    if kind == 1:
+        omega = rng.uniform(0.05, 0.95, len(shape))
+        sites = np.indices(shape).reshape(len(shape), -1).T
+        vals = np.ceil(rng.uniform() + sites @ omega).reshape(shape)
+        if rng.integers(2):
+            flat = vals.reshape(-1)
+            i, j = rng.integers(flat.size, size=2)
+            flat[i], flat[j] = flat[j], flat[i]
+        return vals
+    return rng.uniform(-4.0, 4.0, shape)
+
+
+@pytest.mark.parametrize("d,cases,sizes", [(1, 20000, (1, 9)),
+                                           (2, 2000, (1, 5))])
+def test_closed_form_matches_full_scan_on_random_windows(d, cases, sizes):
+    rng = np.random.default_rng(2024 + d)
+    crossings = 0
+    for _ in range(cases):
+        shape = tuple(rng.integers(*sizes, size=d).tolist())
+        x = Configuration(Box([0] * d, [n - 1 for n in shape]),
+                          random_window_values(rng, shape))
+        k_max = int(rng.integers(5))
+        if k_max > 0 and max(shape) == 1:
+            with pytest.raises(ValueError, match="window too small"):
+                check_birkhoff(x, k_max)
+            continue
+        crossings += not assert_same_as_full_scan(x, k_max).ordered
+    assert 0.2 * cases < crossings < 0.9 * cases
+
+
+def test_k_max_beyond_the_window_visits_only_overlapping_shifts(monkeypatch):
+    # 17 sites: only the 33 shifts with |k| <= 16 overlap the window
+    x = staircase(Box.centered(8, 1), [GOLDEN_MEAN])
+    want = check_birkhoff(x, 16)
+    calls = []
+    intersect = Box.intersect
+
+    def counting(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Box, "intersect", counting)
+    assert check_birkhoff(x, 1000) == want
+    assert len(calls) == 33
+
+
+@pytest.mark.parametrize("value", [2.0 ** 52, -1e300])
+def test_check_birkhoff_refuses_values_a_unit_lift_cannot_resolve(value):
+    x = Configuration(Box([0], [2]), [0.0, value, 1.0])
+    with pytest.raises(ValueError, match="span less than 2\\*\\*52"):
+        check_birkhoff(x, 1)
+    # just below the bound the one lift is still exact: 2**51 - 1 + l = 1
+    got = check_birkhoff(Configuration(x.domain, [0.0, 2.0 ** 51, 1.0]), 1)
+    assert got.violation == ((-1,), 2 - 2 ** 51, (2,), (1,))
 
 
 def test_sign_rule_for_exact_samples():

@@ -57,6 +57,16 @@ def test_continue_writes_artifacts(tmp_path):
     assert header == "i,x0,x,residual"
 
 
+def test_k_max_beyond_the_window_changes_no_summary(tmp_path):
+    # the scanned window has 9 sites, so no shift beyond 8 overlaps it
+    for k_max in (16, 200000):
+        spec = write_spec(tmp_path, f"{k_max}.json", dict(BASE, k_max=k_max))
+        assert main(["continue", "--spec", spec,
+                     "--out", str(tmp_path / str(k_max))]) == 0
+    assert (tmp_path / "16" / "summary.json").read_bytes() == \
+        (tmp_path / "200000" / "summary.json").read_bytes()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     spec = write_spec(tmp_path, "s.json", BASE)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -65,8 +75,16 @@ def test_reruns_are_byte_identical(tmp_path):
     assert read_dir(a) == read_dir(b)
 
 
+def pin_cpus(monkeypatch, n):
+    """Make this process see ``n`` usable CPUs, so that the worker count
+    a test asks for is not cut to the host's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_threading_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("LAMLAB_THREADS", raising=False)
+    pin_cpus(monkeypatch, 3)
     spec = write_spec(tmp_path, "s.json",
                       dict(BASE, window_radius=6, n_samples=4))
     runs = {"default": []}
@@ -85,7 +103,8 @@ def test_threading_does_not_change_bytes(tmp_path, monkeypatch):
             "member_000.csv", "member_003.csv"} <= set(want)
 
 
-def test_more_workers_than_members_change_no_bytes(tmp_path):
+def test_more_workers_than_members_change_no_bytes(tmp_path, monkeypatch):
+    pin_cpus(monkeypatch, 4)
     spec = write_spec(tmp_path, "s.json",
                       dict(BASE, window_radius=6, n_samples=2))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -111,7 +130,8 @@ def test_one_worker_forks_nothing(tmp_path, monkeypatch):
 # members 0-1 fall to this process and members 2-3 to the forked child
 @pytest.mark.parametrize("blocked", ["member_003.csv", "member_001.csv"])
 def test_failing_worker_exits_1_and_leaves_no_child(tmp_path, capsys,
-                                                    blocked):
+                                                    monkeypatch, blocked):
+    pin_cpus(monkeypatch, 2)
     out = tmp_path / "o"
     (out / blocked).mkdir(parents=True)
     spec = write_spec(tmp_path, "s.json",
@@ -133,6 +153,29 @@ def test_worker_that_dies_silently_is_reported():
         cli._in_workers(2, 2, work)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("setting", [{"argv": ["--threads", "5000"]},
+                                     {"env": "5000"}])
+def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch,
+                                               setting):
+    # records the worker count instead of forking: nothing is started
+    monkeypatch.delenv("LAMLAB_THREADS", raising=False)
+    if "env" in setting:
+        monkeypatch.setenv("LAMLAB_THREADS", setting["env"])
+    pin_cpus(monkeypatch, 2)
+    asked = []
+
+    def record(n, workers, work):
+        asked.append(workers)
+        work(range(n))
+
+    monkeypatch.setattr(cli, "_in_workers", record)
+    spec = write_spec(tmp_path, "s.json",
+                      dict(BASE, window_radius=6, n_samples=3))
+    assert main(["lamination", "--spec", spec, "--out", str(tmp_path / "o"),
+                 *setting.get("argv", [])]) == 0
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("value,message", [
@@ -698,6 +741,27 @@ def test_largest_covered_density_radius_runs(tmp_path):
         "parameters"]["n"] == 9
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 0])
+def test_bad_density_radius_without_window_names_n(tmp_path, capsys, n):
+    body = {k: v for k, v in BASE.items() if k != "window_radius"}
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "measure", "--spec", write_spec(tmp_path, "s.json", dict(body, n=n)),
+        "--out", str(out)], 1)
+    assert err == "error: n must be an integer of at least 1\n"
+    assert not out.exists()
+
+
+def test_unit_density_radius_without_window_runs_on_the_smallest(tmp_path):
+    body = {k: v for k, v in BASE.items() if k != "window_radius"}
+    out = tmp_path / "o"
+    assert main(["measure", "--spec",
+                 write_spec(tmp_path, "s.json", dict(body, n=1)),
+                 "--out", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert (params["n"], params["window_radius"]) == (1, 2)
+
+
 def test_default_density_radius_fits_the_window(tmp_path):
     # 377 in one dimension, cut to window_radius + r
     out = tmp_path / "o"
@@ -885,7 +949,8 @@ def test_fuzzed_specs_exit_cleanly(tmp_path, capsys, case):
         assert rc == 0 or (rc == 2 and command == "verify")
 
 
-def test_sweep_cli(tmp_path):
+def test_sweep_cli(tmp_path, monkeypatch):
+    pin_cpus(monkeypatch, 2)
     spec = write_spec(tmp_path, "s.json", {
         "model": {},
         "omega": "golden",
