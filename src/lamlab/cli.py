@@ -60,33 +60,6 @@ OMEGA_NAMES = {
     "sqrt3-1": float(np.sqrt(3.0) - 1.0),
 }
 
-_ALLOWED = {
-    "continue": {"model", "seed", "omega", "eps", "p", "s", "window_radius",
-                 "k_max", "M1", "M2"},
-    "lamination": {"model", "seed", "omega", "eps", "p", "window_radius",
-                   "n_samples", "k_max"},
-    "measure": {"model", "seed", "omega", "eps", "p", "window_radius", "n",
-                "injectivity"},
-    "cantorus": {"model", "seed", "mode", "omega", "eps", "p", "wells",
-                 "window_radius", "n_samples", "s0", "labels", "coin_flip"},
-    "verify": {"model", "seed", "checks"},
-    "sweep": {"model", "seed", "omega", "eps_values", "p", "window_radius",
-              "k_max"},
-}
-# the keys only one mode of cantorus reads; the other mode refuses them
-_MODE_KEYS = {
-    "cantorus": {"omega", "p", "wells", "n_samples", "s0"},
-    "momentum": {"labels", "coin_flip"},
-}
-_REQUIRED = {
-    "continue": {"model", "omega", "eps", "p", "window_radius"},
-    "lamination": {"model", "omega", "eps", "p", "window_radius", "n_samples"},
-    "measure": {"model", "omega", "eps", "p"},
-    "cantorus": {"model", "eps"},
-    "verify": set(),
-    "sweep": {"model", "omega", "eps_values", "p", "window_radius"},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage, which collides with the
@@ -96,7 +69,37 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _load_spec(path):
+class _Spec(dict):
+    """The top-level object of a spec file, recording each key a command
+    reads through ``[]``, ``get`` or ``in``: the keys a command takes
+    are the keys it reads, and the others are refused before the run
+    directory is made. ``what`` names the spec in messages."""
+
+    def __init__(self, body, command):
+        super().__init__(body)
+        self.command = self.what = command
+        self._read = set()
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise SchemaError(f"missing {self.what} spec key {key!r}")
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __contains__(self, key):
+        self._read.add(key)
+        return super().__contains__(key)
+
+    def refuse_unread(self):
+        _reject_unknown(self, self._read, f"{self.what} spec")
+
+
+def _load_spec(path, command):
+    """The spec file at ``path``; ``verify`` runs on an empty one."""
+    if path is None and command == "verify":
+        return _Spec({}, command)
     if path is None:
         raise SchemaError("this command needs --spec <file>")
     try:
@@ -109,24 +112,13 @@ def _load_spec(path):
         raise SchemaError(f"spec file is not valid JSON: {exc}")
     if not isinstance(spec, dict):
         raise SchemaError("spec must be a JSON object")
-    return spec
+    return _Spec(spec, command)
 
 
 def _reject_unknown(obj, allowed, what):
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
-
-
-def _validate_keys(spec, command):
-    required = _REQUIRED[command]
-    _reject_unknown(spec, _ALLOWED[command], f"spec keys for {command}")
-    missing = required - set(spec)
-    if missing:
-        raise SchemaError(f"missing spec keys for {command}: {sorted(missing)}")
-    nulls = sorted(k for k in required if spec[k] is None)
-    if nulls:
-        raise SchemaError(f"spec keys for {command} must not be null: {nulls}")
 
 
 def _finite(v, what):
@@ -214,15 +206,16 @@ def _parse_eps(raw, constants):
     if isinstance(raw, (int, float)):
         val = _finite(raw, "eps")
     elif isinstance(raw, str):
-        head, _, denom = raw.partition("/")
+        head, slash, denom = raw.partition("/")
         if head == "eps0":
             val = constants.eps0
         elif head == "eps1":
             val = constants.eps1
         else:
             raise SchemaError(f"cannot parse eps {raw!r}")
-        if denom:
-            if not denom.isdigit() or int(denom) == 0:
+        if slash:
+            # ASCII digits only: str.isdigit also takes superscripts
+            if not (denom.isascii() and denom.isdigit()) or int(denom) == 0:
                 raise SchemaError(f"cannot parse eps divisor in {raw!r}")
             val /= int(denom)
     else:
@@ -232,13 +225,15 @@ def _parse_eps(raw, constants):
     return val
 
 
-def _parse_window(spec, stencil, default=None):
-    radius = _integer(spec.get("window_radius", default), "window_radius",
+def _parse_window(spec, stencil, default=None, source="window_radius"):
+    """The window of the spec's window_radius or, if it has none, of the
+    radius ``default``, which messages credit to the key ``source``."""
+    radius = _integer(spec.get("window_radius", default), source,
                       stencil.range + 1)
     window = Box.centered(radius, stencil.d)
     sites = math.prod(window.padded(stencil.range).shape)
     if sites > MAX_WINDOW_SITES:
-        raise SchemaError(f"window_radius {radius} needs {sites} sites with "
+        raise SchemaError(f"{source} {radius} needs {sites} sites with "
                           f"its collar; at most {MAX_WINDOW_SITES} are allowed")
     return window
 
@@ -250,38 +245,39 @@ def _parse_weights(p, n):
     return [_finite(v, "every entry of p") for v in p]
 
 
-def _setup(spec, radius=None):
+def _setup(spec, coupling="eps", radius=None, source="window_radius"):
     """Model, omega, coupling and window of a spec command, parsed once.
 
-    The coupling is ``eps``, or the list ``eps_values`` for ``sweep``;
-    ``radius(stencil)`` is called only if the spec has no window_radius,
-    and gives the window radius for that stencil.
+    The coupling is the spec key ``coupling``: ``eps``, or the list
+    ``eps_values`` for ``sweep``. ``radius(stencil)`` is called only if
+    the spec has no window_radius, and gives the window radius for that
+    stencil; ``source`` names the key it came from.
     Returns them and the manifest entries they fill."""
     potential, stencil, K, k = _model_parts(spec)
     omega = _parse_omega(spec["omega"], stencil.d)
     model = build_model(potential, stencil, K, k, omega=omega)
-    if "eps_values" in spec:
-        key, eps = "eps_values", spec["eps_values"]
+    eps = spec[coupling]
+    if coupling == "eps_values":
         if not isinstance(eps, list) or not eps:
             raise SchemaError("eps_values must be a nonempty list")
         eps = [_parse_eps(v, model.constants) for v in eps]
     else:
-        key, eps = "eps", _parse_eps(spec["eps"], model.constants)
-    default = (radius(stencil)
-               if radius is not None and "window_radius" not in spec else None)
-    window = _parse_window(spec, stencil, default)
-    effective = {"omega": [float(w) for w in omega], key: eps,
+        eps = _parse_eps(eps, model.constants)
+    if radius is None or "window_radius" in spec:
+        window = _parse_window(spec, stencil)
+    else:
+        window = _parse_window(spec, stencil, radius(stencil), source)
+    effective = {"omega": [float(w) for w in omega], coupling: eps,
                  "window_radius": int(window.hi[0])}
     return model, omega, eps, window, effective
 
 
-def _hull_start(spec, model, omega, window):
+def _hull_start(spec, model, omega, window, s):
     """Weights p, step hull, parameter s and sampled labels of a run that
-    continues one hull sample; s is generic unless the spec gives it."""
+    continues one hull sample; s is generic unless it is given."""
     p = _parse_weights(spec.get("p"), model.potential.minima.size)
     phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
-    s = spec.get("s")
     s = generic_parameter(phi, omega, Bp, 0.5) if s is None else _finite(s, "s")
     return p, phi, s, sample_config(phi, omega, s, Bp)
 
@@ -367,13 +363,15 @@ def _site_header(d):
     return ["i"] if d == 1 else [f"i{a + 1}" for a in range(d)]
 
 
-def _manifest(out, command, effective, model, seed, tol):
-    # the run directory is made here, so a refused spec leaves none;
-    # threads deliberately omitted: outputs must be byte-identical no
-    # matter how the work is scheduled
+def _manifest(spec, out, effective, model, seed, tol):
+    # the run directory is made here, after every key the command takes
+    # was read, so a refused spec leaves none; threads deliberately
+    # omitted: outputs must be byte-identical no matter how the work is
+    # scheduled
+    spec.refuse_unread()
     out.mkdir(parents=True, exist_ok=True)
     body = {
-        "command": command,
+        "command": spec.command,
         "parameters": effective,
         "constants": model.constants.as_dict() if model is not None else None,
         "seed": seed,
@@ -454,7 +452,7 @@ class _SolutionTable:
 
 def cmd_continue(spec, out, seed, threads, tol):
     model, omega, eps, window, effective = _setup(spec)
-    p, phi, s, x0 = _hull_start(spec, model, omega, window)
+    p, phi, s, x0 = _hull_start(spec, model, omega, window, spec.get("s"))
     k_max = _integer(spec.get("k_max", 2), "k_max", 0)
     M1, M2 = spec.get("M1"), spec.get("M2")
     probe = M1 is not None or M2 is not None
@@ -462,7 +460,7 @@ def cmd_continue(spec, out, seed, threads, tol):
         M1 = _integer(M1, "M1", 0)
         M2 = _integer(M2, "M2", M1 + model.stencil.range)
     effective.update(p=p, s=s, k_max=k_max, M1=M1, M2=M2)
-    _manifest(out, "continue", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     result = quasi_newton_continue(model, eps, x0, window, tol=tol)
     verdict = next(scan_birkhoff(model, window, [result.solution], k_max))
@@ -494,7 +492,7 @@ def cmd_lamination(spec, out, seed, threads, tol):
     n_samples = _integer(spec.get("n_samples"), "n_samples", 1)
     k_max = _integer(spec.get("k_max", 2), "k_max", 0)
     effective.update(p=p, n_samples=n_samples, k_max=k_max)
-    _manifest(out, "lamination", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     lam = continue_lamination(model, eps, p, omega, window, n_samples,
                               tol=tol, k_max=k_max)
@@ -520,20 +518,23 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
+    n = _integer(spec["n"], "n", 1) if "n" in spec else None
+
     def ball_radius(stencil):
         # a spec without window_radius gets the window of its ball radius,
         # or the smallest window if that radius is smaller
-        if "n" in spec:
-            return max(_integer(spec["n"], "n", 1), stencil.range + 1)
+        if n is not None:
+            return max(n, stencil.range + 1)
         if stencil.d not in DEFAULT_DENSITY_RADIUS:
             raise SchemaError("no default ball radius in this dimension; "
                               "pass n")
         return DEFAULT_DENSITY_RADIUS[stencil.d]
 
-    model, omega, eps, window, effective = _setup(spec, ball_radius)
+    model, omega, eps, window, effective = _setup(spec, radius=ball_radius,
+                                                  source="n")
     r = model.stencil.range
-    n = (_integer(spec["n"], "n", 1) if "n" in spec
-         else default_density_radius(window, r))
+    if n is None:
+        n = default_density_radius(window, r)
     if n > effective["window_radius"] + r:
         raise SchemaError(f"n must be at most window_radius + {r}, the "
                           "radius the continued configuration covers")
@@ -547,7 +548,7 @@ def cmd_measure(spec, out, seed, threads, tol):
         if not 0.0 < spacing <= 1.0:
             raise SchemaError("injectivity spacing must lie in (0, 1]")
     effective.update(p=p, n=n, injectivity=inj)
-    _manifest(out, "measure", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
     _write_json(out / "measure.json", {"atoms": mu.as_pairs()})
@@ -599,14 +600,10 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     mode = spec.get("mode", "cantorus")
     if mode not in ("cantorus", "momentum"):
         raise SchemaError(f"unknown cantorus mode {mode!r}")
-    other = "momentum" if mode == "cantorus" else "cantorus"
-    _reject_unknown(spec, _ALLOWED["cantorus"] - _MODE_KEYS[other],
-                    f"cantorus {mode}-mode spec")
+    spec.what = f"cantorus {mode}-mode"
     if mode == "momentum":
         return _cmd_momentum(spec, out, seed, tol)
-    if spec.get("omega") is None:
-        raise SchemaError("cantorus mode needs omega")
-    model, omega, eps, window, effective = _setup(spec, lambda stencil: 16)
+    model, omega, eps, window, effective = _setup(spec, radius=lambda _: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     wells = spec.get("wells", "minima")
     if wells == "minima":
@@ -621,7 +618,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     s0 = spec.get("s0", 0.5)
     _finite(s0, "s0")
     effective.update(p=p, wells=wells, n_samples=n_samples, s0=s0)
-    _manifest(out, "cantorus", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     hull = step_hull_from_simplex(p, sigma)
     res = extract_cantorus(model, eps, hull, omega, window, n_samples,
@@ -650,7 +647,7 @@ def _cmd_momentum(spec, out, seed, tol):
         if not isinstance(labels, list) or len(labels) != Bp.size:
             raise SchemaError(f"labels must be a list of {Bp.size} values")
         labels = np.asarray([_finite(v, "every label") for v in labels])
-    elif "coin_flip" in spec:
+    else:
         cf = spec["coin_flip"]
         if not isinstance(cf, dict):
             raise SchemaError("coin_flip must be an object")
@@ -658,8 +655,6 @@ def _cmd_momentum(spec, out, seed, tol):
         cf_seed = _integer(cf.get("seed", seed), "coin_flip seed", 0)
         rng = np.random.default_rng(cf_seed)
         labels = rng.integers(0, 2, Bp.size).astype(float)
-    else:
-        raise SchemaError("momentum mode needs labels or coin_flip")
     # unless the model gives K, the envelope is sized for the label spread
     if K is None:
         K = float(np.max(np.abs(np.diff(labels)))) + 2.0
@@ -667,7 +662,7 @@ def _cmd_momentum(spec, out, seed, tol):
     eps = _parse_eps(spec["eps"], model.constants)
     effective = {"eps": eps, "window_radius": int(window.hi[0]),
                  "labels": [float(v) for v in labels]}
-    _manifest(out, "cantorus", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     orbit = chaotic_momentum_orbit(model, eps, labels, window,
                                    newton_tol=tol)
@@ -684,25 +679,24 @@ def _cmd_momentum(spec, out, seed, tol):
 
 
 def cmd_verify(spec, out, seed, threads, tol):
+    overrides = spec.get("checks", {})
+    if not isinstance(overrides, dict):
+        raise SchemaError("checks must map check names to tolerances")
+    _reject_unknown(overrides, {name for name, _ in CHECKS}, "check")
+    for name, value in overrides.items():
+        _finite(value, f"the tolerance of {name}")
     model = None
-    overrides = {}
-    if spec is not None:
-        overrides = spec.get("checks", {})
-        if not isinstance(overrides, dict):
-            raise SchemaError("checks must map check names to tolerances")
-        _reject_unknown(overrides, {name for name, _ in CHECKS}, "check")
-        for name, value in overrides.items():
-            _finite(value, f"the tolerance of {name}")
-        if "model" in spec:
-            potential, stencil, K, k = _model_parts(spec)
-            model = build_model(potential, stencil, K, k,
-                                omega=[GOLDEN_MEAN] * stencil.d)
+    if "model" in spec:
+        potential, stencil, K, k = _model_parts(spec)
+        model = build_model(potential, stencil, K, k,
+                            omega=[GOLDEN_MEAN] * stencil.d)
+    spec.refuse_unread()  # before the suite runs, with or without --out
     rows = run_suite(model, seed=seed, overrides=overrides)
     width = max(len(r.name) for r in rows)
     for r in rows:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
     if out is not None:
-        _manifest(out, "verify", {"checks": overrides}, model, seed, tol)
+        _manifest(spec, out, {"checks": overrides}, model, seed, tol)
         _write_json(out / "verify.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in rows],
@@ -711,21 +705,18 @@ def cmd_verify(spec, out, seed, threads, tol):
 
 
 def cmd_sweep(spec, out, seed, threads, tol):
-    model, omega, eps_list, window, effective = _setup(spec)
-    p, _, s, x0 = _hull_start(spec, model, omega, window)
+    from concurrent.futures import ThreadPoolExecutor
+
+    model, omega, eps_list, window, effective = _setup(spec, "eps_values")
+    p, _, s, x0 = _hull_start(spec, model, omega, window, None)
     effective.update(p=p, s=s)
-    _manifest(out, "sweep", effective, model, seed, tol)
+    _manifest(spec, out, effective, model, seed, tol)
 
     def run(eps):
         return quasi_newton_continue(model, eps, x0, window, tol=tol)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, eps_list))
-    else:
-        results = [run(eps) for eps in eps_list]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, eps_list))
 
     floats = np.array([[eps, r.final_residual, r.contraction_rate,
                         r.displacement] for eps, r in zip(eps_list, results)])
@@ -794,20 +785,14 @@ def main(argv=None):
         threads = min(threads, _usable_cpus())
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise SchemaError("tol must be a positive finite number")
-        spec = None
-        if args.spec is not None:
-            spec = _load_spec(args.spec)
-            _validate_keys(spec, args.command)
-        elif args.command != "verify":
-            spec = _load_spec(None)
-        seed = args.seed
-        if seed is None:
-            seed = _integer(spec.get("seed", 0) if spec else 0, "seed")
-        out = None
-        if args.out is not None:
-            out = Path(args.out)
-        elif args.command != "verify":
+        spec = _load_spec(args.spec, args.command)
+        # the spec's seed is checked even where --seed overrides it
+        seed = _integer(spec.get("seed", 0), "seed")
+        if args.seed is not None:
+            seed = args.seed
+        if args.out is None and args.command != "verify":
             raise SchemaError("this command needs --out <dir>")
+        out = None if args.out is None else Path(args.out)
         return _COMMANDS[args.command](spec, out, seed, threads, args.tol)
     except (LamlabError, ValueError, OverflowError, OSError,
             MemoryError) as exc:

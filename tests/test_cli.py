@@ -15,9 +15,26 @@ from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
                     psi_epsilon, quasi_newton_continue, residual_field,
                     sample_config, step_hull_from_simplex, vague_distance)
 from lamlab import cli, errors, verification
-from lamlab.cli import _ALLOWED, MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
+from lamlab.cli import MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
 from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
                                  continue_lamination)
+
+# the top-level spec keys each command, and each mode of cantorus, takes,
+# as the README documents them; stated apart from the code that reads them
+SPEC_KEYS = {
+    "continue": {"model", "seed", "omega", "eps", "p", "s", "window_radius",
+                 "k_max", "M1", "M2"},
+    "lamination": {"model", "seed", "omega", "eps", "p", "window_radius",
+                   "n_samples", "k_max"},
+    "measure": {"model", "seed", "omega", "eps", "p", "window_radius", "n",
+                "injectivity"},
+    "cantorus": {"model", "seed", "mode", "omega", "eps", "p", "wells",
+                 "window_radius", "n_samples", "s0"},
+    "momentum": {"model", "seed", "mode", "eps", "window_radius", "labels",
+                 "coin_flip"},
+    "verify": {"model", "seed", "checks"},
+    "sweep": {"model", "seed", "omega", "eps_values", "p", "window_radius"},
+}
 
 BASE = {
     "model": {},
@@ -865,6 +882,100 @@ def test_manifest_parameter_keys(tmp_path, capsys, name):
     capsys.readouterr()
 
 
+# a value of the right type for every key some command takes
+KEY_VALUES = {
+    "model": {}, "seed": 1, "omega": "golden", "eps": "eps1/2",
+    "p": [0.5, 0.5], "s": 0.3, "window_radius": 4, "k_max": 2, "M1": 1,
+    "M2": 3, "n_samples": 2, "n": 3, "injectivity": {"spacing": 0.5},
+    "mode": "cantorus", "wells": "minima", "s0": 0.5, "labels": [0.0] * 19,
+    "coin_flip": {"seed": 1}, "checks": {}, "eps_values": ["eps1/2"],
+}
+SPEC_NAMES = {"cantorus": "cantorus cantorus-mode",
+              "momentum": "cantorus momentum-mode"}
+
+
+def test_key_values_cover_every_spec_key():
+    assert set(KEY_VALUES) == set().union(*SPEC_KEYS.values())
+
+
+@pytest.mark.parametrize("name,key", [
+    (name, key) for name in sorted(SMALL) for key in sorted(KEY_VALUES)
+    if key not in SPEC_KEYS[name]])
+def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
+                                                  key):
+    # the valid base spec of one command, with a key only others take
+    body = dict(SMALL[name][0], **{key: KEY_VALUES[key]})
+    command = "cantorus" if name == "momentum" else name
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out)], 1)
+    assert err == (f"error: unknown {SPEC_NAMES.get(name, name)} spec keys: "
+                   f"{[key]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body,extra,message", [
+    # a key that sweep does not read
+    ("sweep", dict(SMALL["sweep"][0], k_max="banana"), [],
+     "unknown sweep spec keys: ['k_max']"),
+    # labels and coin_flip are exclusive: labels wins, coin_flip is unread
+    ("cantorus", dict(MOMENTUM, labels=[0.0, 1.0] * 9 + [0.0]), [],
+     "unknown cantorus momentum-mode spec keys: ['coin_flip']"),
+    # the spec's seed is checked even where --seed overrides it
+    ("continue", dict(BASE, seed="banana"), ["--seed", "1"],
+     "seed must be an integer"),
+    # a divisor is one or more ASCII digits, not all zero
+    ("continue", dict(BASE, eps="eps1/"), [],
+     "cannot parse eps divisor in 'eps1/'"),
+    ("continue", dict(BASE, eps="eps1/\u00b2"), [],
+     "cannot parse eps divisor in 'eps1/\u00b2'"),
+    ("continue", dict(BASE, eps="eps1/00"), [],
+     "cannot parse eps divisor in 'eps1/00'"),
+    ("continue", dict(BASE, bogus=1), [],
+     "unknown continue spec keys: ['bogus']"),
+    ("continue", dict(BASE, eps_values=["eps1/2"]), [],
+     "unknown continue spec keys: ['eps_values']"),
+    ("continue", {k: v for k, v in BASE.items() if k != "omega"}, [],
+     "missing continue spec key 'omega'"),
+    ("sweep", {k: v for k, v in SMALL["sweep"][0].items()
+               if k != "eps_values"}, [],
+     "missing sweep spec key 'eps_values'"),
+    ("cantorus", {k: v for k, v in MOMENTUM.items() if k != "coin_flip"}, [],
+     "missing cantorus momentum-mode spec key 'coin_flip'"),
+])
+def test_inputs_that_used_to_run_unread_exit_1(tmp_path, capsys, command,
+                                               body, extra, message):
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out), *extra], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_unread_keys_before_the_suite(tmp_path, capsys):
+    spec = write_spec(tmp_path, "v.json", {"model": {}, "omega": "golden"})
+    capsys.readouterr()
+    assert main(["verify", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown verify spec keys: ['omega']\n"
+    assert captured.out == ""
+
+
+def test_huge_density_radius_without_window_names_n(tmp_path, capsys):
+    # refused by arithmetic on the window's shape, before any allocation
+    body = {k: v for k, v in BASE.items() if k != "window_radius"}
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "measure", "--spec",
+        write_spec(tmp_path, "s.json", dict(body, n=100000000)),
+        "--out", str(out)], 1)
+    assert err == ("error: n 100000000 needs 200000003 sites with its "
+                   "collar; at most 67108864 are allowed\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("diff,order", [
     ([0.0, LABEL_TOL, -LABEL_TOL], "0"),
     ([0.0, 2 * LABEL_TOL], "1"),
@@ -915,7 +1026,8 @@ FUZZ_BASES = {
 }
 FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400, [],
                [0.5, 0.5], {}, {"spacing": 0.5}, None, True, -1, 0, 2.5]
-FUZZ_KEYS = {cmd: sorted(_ALLOWED[cmd]) + [
+FUZZ_KEYS = {cmd: sorted(SPEC_KEYS[cmd] | (
+    SPEC_KEYS["momentum"] if cmd == "cantorus" else set())) + [
     "model.potential", "model.stencil", "model.K", "model.k",
     "model.potential.N", "model.stencil.d", "model.stencil.flip_sign"]
     for cmd in FUZZ_BASES}
