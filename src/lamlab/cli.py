@@ -70,19 +70,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Spec(dict):
-    """The top-level object of a spec file, recording each key a command
-    reads through ``[]``, ``get`` or ``in``: the keys a command takes
-    are the keys it reads, and the others are refused before the run
-    directory is made. ``what`` names the spec in messages."""
+    """An object of a spec file, recording each key a command reads
+    through ``[]``, ``get`` or ``in``. The keys a command takes are the
+    keys it reads: ``refuse_unread`` refuses the others, here and in
+    each nested object opened with ``object``, parents first."""
 
-    def __init__(self, body, command):
+    def __init__(self, body, command, what=None):
         super().__init__(body)
-        self.command = self.what = command
-        self._read = set()
+        self.command = command
+        self.what = what or f"{command} spec"
+        self._read, self._children = set(), []
 
     def __getitem__(self, key):
         if key not in self:
-            raise SchemaError(f"missing {self.what} spec key {key!r}")
+            raise SchemaError(f"missing {self.what} key {key!r}")
         return super().__getitem__(key)
 
     def get(self, key, default=None):
@@ -92,8 +93,22 @@ class _Spec(dict):
         self._read.add(key)
         return super().__contains__(key)
 
+    def object(self, key, what, default=None):
+        """The object at ``key`` as a child spec named ``what``; an absent
+        key is ``default``, or is refused if there is no default."""
+        body = self[key] if default is None else self.get(key, default)
+        if not isinstance(body, dict):
+            raise SchemaError(f"{what} must be an object")
+        child = _Spec(body, self.command, what)
+        self._children.append(child)
+        return child
+
     def refuse_unread(self):
-        _reject_unknown(self, self._read, f"{self.what} spec")
+        unread = set(self) - self._read
+        if unread:
+            raise SchemaError(f"unknown {self.what} keys: {sorted(unread)}")
+        for child in self._children:
+            child.refuse_unread()
 
 
 def _load_spec(path, command):
@@ -113,12 +128,6 @@ def _load_spec(path, command):
     if not isinstance(spec, dict):
         raise SchemaError("spec must be a JSON object")
     return _Spec(spec, command)
-
-
-def _reject_unknown(obj, allowed, what):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _finite(v, what):
@@ -142,30 +151,25 @@ def _model_parts(spec):
     """Potential, stencil, oscillation bound K and contraction parameter k
     of ``spec.model``. K is None unless the model gives one; the caller
     sizes it for its omega or its labels."""
-    mspec = spec.get("model")
-    if not isinstance(mspec, dict):
-        raise SchemaError("spec.model must be an object")
-    _reject_unknown(mspec, {"potential", "stencil", "K", "k"}, "model")
-    pspec = mspec.get("potential", {"kind": "n_well", "N": 2})
-    if not isinstance(pspec, dict) or "kind" not in pspec:
-        raise SchemaError("model.potential must be an object with a kind")
-    if pspec["kind"] == "n_well":
-        _reject_unknown(pspec, {"kind", "N"}, "model.potential")
+    mspec = spec.object("model", "model")
+    pspec = mspec.object("potential", "model.potential",
+                         {"kind": "n_well", "N": 2})
+    kind = pspec["kind"]
+    if kind == "n_well":
         potential = builtin_n_well(_integer(pspec.get("N", 2), "n_well N", 1))
-    elif pspec["kind"] == "table":
-        _reject_unknown(pspec, {"kind", "samples"}, "model.potential")
+    elif kind == "table":
         samples = pspec.get("samples")
         if not isinstance(samples, list) or len(samples) < 8:
             raise SchemaError("table potential needs at least 8 samples")
         samples = [_finite(v, "every table sample") for v in samples]
         potential = potential_from_table(np.asarray(samples))
     else:
-        raise SchemaError(f"unknown potential kind {pspec['kind']!r}")
+        raise SchemaError(f"unknown potential kind {kind!r}")
 
-    sspec = mspec.get("stencil", {"kind": "harmonic", "d": 1})
-    if not isinstance(sspec, dict) or sspec.get("kind") != "harmonic":
+    sspec = mspec.object("stencil", "model.stencil",
+                         {"kind": "harmonic", "d": 1})
+    if sspec["kind"] != "harmonic":
         raise SchemaError("model.stencil must be harmonic (with a dimension d)")
-    _reject_unknown(sspec, {"kind", "d", "flip_sign"}, "model.stencil")
     d = _integer(sspec.get("d", 1), "stencil dimension d", 1)
     flip_sign = sspec.get("flip_sign", False)
     if not isinstance(flip_sign, bool):
@@ -214,10 +218,11 @@ def _parse_eps(raw, constants):
         else:
             raise SchemaError(f"cannot parse eps {raw!r}")
         if slash:
-            # ASCII digits only: str.isdigit also takes superscripts
-            if not (denom.isascii() and denom.isdigit()) or int(denom) == 0:
+            # nonzero ASCII digits in float range; isdigit takes superscripts
+            if not (denom.isascii() and denom.isdigit()
+                    and 0.0 < float(denom) < math.inf):
                 raise SchemaError(f"cannot parse eps divisor in {raw!r}")
-            val /= int(denom)
+            val /= float(denom)
     else:
         raise SchemaError("eps must be a number or an eps0/eps1 expression")
     if val < 0:
@@ -541,10 +546,8 @@ def cmd_measure(spec, out, seed, threads, tol):
     p = _parse_weights(spec.get("p"), model.potential.minima.size)
     inj = spec.get("injectivity")
     if inj is not None:
-        if not isinstance(inj, dict):
-            raise SchemaError("injectivity must be an object or null")
-        _reject_unknown(inj, {"spacing"}, "injectivity")
-        spacing = _finite(inj.get("spacing", 0.25), "injectivity spacing")
+        ispec = spec.object("injectivity", "injectivity")
+        spacing = _finite(ispec.get("spacing", 0.25), "injectivity spacing")
         if not 0.0 < spacing <= 1.0:
             raise SchemaError("injectivity spacing must lie in (0, 1]")
     effective.update(p=p, n=n, injectivity=inj)
@@ -600,7 +603,7 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     mode = spec.get("mode", "cantorus")
     if mode not in ("cantorus", "momentum"):
         raise SchemaError(f"unknown cantorus mode {mode!r}")
-    spec.what = f"cantorus {mode}-mode"
+    spec.what = f"cantorus {mode}-mode spec"
     if mode == "momentum":
         return _cmd_momentum(spec, out, seed, tol)
     model, omega, eps, window, effective = _setup(spec, radius=lambda _: 16)
@@ -648,10 +651,7 @@ def _cmd_momentum(spec, out, seed, tol):
             raise SchemaError(f"labels must be a list of {Bp.size} values")
         labels = np.asarray([_finite(v, "every label") for v in labels])
     else:
-        cf = spec["coin_flip"]
-        if not isinstance(cf, dict):
-            raise SchemaError("coin_flip must be an object")
-        _reject_unknown(cf, {"seed"}, "coin_flip")
+        cf = spec.object("coin_flip", "coin_flip")
         cf_seed = _integer(cf.get("seed", seed), "coin_flip seed", 0)
         rng = np.random.default_rng(cf_seed)
         labels = rng.integers(0, 2, Bp.size).astype(float)
@@ -679,12 +679,11 @@ def _cmd_momentum(spec, out, seed, tol):
 
 
 def cmd_verify(spec, out, seed, threads, tol):
-    overrides = spec.get("checks", {})
-    if not isinstance(overrides, dict):
-        raise SchemaError("checks must map check names to tolerances")
-    _reject_unknown(overrides, {name for name, _ in CHECKS}, "check")
-    for name, value in overrides.items():
-        _finite(value, f"the tolerance of {name}")
+    # the manifest echoes the tolerances as given
+    overrides = spec.object("checks", "checks", {})
+    for name, _ in CHECKS:
+        if name in overrides:
+            _finite(overrides[name], f"the tolerance of {name}")
     model = None
     if "model" in spec:
         potential, stencil, K, k = _model_parts(spec)

@@ -943,6 +943,11 @@ def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
      "missing sweep spec key 'eps_values'"),
     ("cantorus", {k: v for k, v in MOMENTUM.items() if k != "coin_flip"}, [],
      "missing cantorus momentum-mode spec key 'coin_flip'"),
+    # a divisor past the largest float, and one past int's digit limit
+    *[pytest.param("continue", dict(BASE, eps="eps1/" + "9" * digits), [],
+                   f"cannot parse eps divisor in 'eps1/{'9' * digits}'",
+                   id=f"eps-divisor-of-{digits}-digits")
+      for digits in (400, 5000)],
 ])
 def test_inputs_that_used_to_run_unread_exit_1(tmp_path, capsys, command,
                                                body, extra, message):
@@ -974,6 +979,86 @@ def test_huge_density_radius_without_window_names_n(tmp_path, capsys):
     assert err == ("error: n 100000000 needs 200000003 sites with its "
                    "collar; at most 67108864 are allowed\n")
     assert not out.exists()
+
+
+# a table potential with the two wells of the default n_well potential
+TABLE = {"kind": "table",
+         "samples": [-math.cos(math.pi * k / 4) for k in range(16)]}
+STRAY = {"bogus": 1, "N": 2, "samples": TABLE["samples"]}
+NESTED = [(name, path, obj, stray) for name in sorted(SMALL)
+          for path, obj, stray in [
+              ("model", {}, "bogus"),
+              ("model.potential", {"kind": "n_well", "N": 2}, "bogus"),
+              ("model.potential", TABLE, "bogus"),
+              # the kind decides which of N and samples is read
+              ("model.potential", {"kind": "n_well", "N": 2}, "samples"),
+              ("model.potential", TABLE, "N"),
+              ("model.stencil", {"kind": "harmonic", "d": 1}, "bogus")]] + [
+    ("measure", "injectivity", {"spacing": 0.5}, "bogus"),
+    ("momentum", "coin_flip", {"seed": 1}, "bogus"),
+    ("verify", "checks", {"hull-axioms": 1}, "bogus"),
+]
+
+
+@pytest.mark.parametrize("name,path,obj,stray", NESTED, ids=[
+    f"{name}-{path}-{obj.get('kind', '')}-{stray}"
+    for name, path, obj, stray in NESTED])
+def test_nested_keys_an_object_does_not_take_are_refused(tmp_path, capsys,
+                                                         name, path, obj,
+                                                         stray):
+    # the valid base spec of one command, with a stray key in one object
+    body = json.loads(json.dumps(SMALL[name][0]))
+    *parents, last = path.split(".")
+    target = body
+    for part in parents:
+        target = target[part]
+    target[last] = dict(obj, **{stray: STRAY[stray]})
+    command = "cantorus" if name == "momentum" else name
+    spec = write_spec(tmp_path, "s.json", body)
+    out = tmp_path / "o"
+    # verify runs without --out: refused before any check line is printed
+    argv = [command, "--spec", spec] + (
+        [] if name == "verify" else ["--out", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown {path} keys: {[stray]}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,change,message", [
+    ("continue", {"model": {"potential": {}}},
+     "missing model.potential key 'kind'"),
+    ("continue", {"model": {"stencil": {}}},
+     "missing model.stencil key 'kind'"),
+    ("continue", {"model": None}, "model must be an object"),
+    ("momentum", {"coin_flip": None}, "coin_flip must be an object"),
+    ("verify", {"checks": None}, "checks must be an object"),
+    ("measure", {"injectivity": True}, "injectivity must be an object"),
+])
+def test_malformed_nested_objects_exit_1(tmp_path, capsys, name, change,
+                                         message):
+    command = "cantorus" if name == "momentum" else name
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec",
+        write_spec(tmp_path, "s.json", dict(SMALL[name][0], **change)),
+        "--out", str(out)], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_echoes_tolerances_as_given(tmp_path, capsys):
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, "v.json", {"checks": {"hull-axioms": 1}})
+    assert main(["verify", "--spec", spec, "--out", str(out)]) == 0
+    checks = json.loads((out / "manifest.json").read_text())[
+        "parameters"]["checks"]
+    # an integer stays an integer: 1, not 1.0
+    assert checks == {"hull-axioms": 1}
+    assert type(checks["hull-axioms"]) is int
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("diff,order", [
@@ -1192,7 +1277,7 @@ def test_lamination_members_match_dict_keyed_rows(tmp_path, d):
     out = tmp_path / "lam"
     assert main(["lamination", "--spec", write_spec(tmp_path, "l.json", body),
                  "--out", str(out)]) == 0
-    model, omega, eps, window, _ = cli._setup(body)
+    model, omega, eps, window, _ = cli._setup(cli._Spec(body, "lamination"))
     lam = continue_lamination(model, eps, body["p"], omega, window, 6,
                               tol=1e-12, k_max=2)
     header = cli._site_header(d) + ["x0", "x", "residual"]
