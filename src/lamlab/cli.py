@@ -45,9 +45,10 @@ EXIT_NO_CONVERGENCE = 3
 _REFUSALS = (ContinuationRefused, ContractionEscape, LaminationBroken,
              NotBirkhoff, CheckInconclusive, UnclassifiableSite)
 
-# the most sites a padded window may have, refused before anything is
-# allocated or written; far above every window the tests and the
-# benchmark run
+# the most sites a padded window may have, and the most sites or rows a
+# run may hold over all its members, refused before anything is
+# allocated or written; far above every run the tests and the benchmark
+# make
 MAX_WINDOW_SITES = 2**26
 
 # rows per write of a CSV file, and pairs per block of the injectivity
@@ -131,10 +132,15 @@ def _load_spec(path, command):
 
 
 def _finite(v, what):
-    """``v`` as a float; anything but a finite JSON number is refused."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool) \
-            and math.isfinite(v):
-        return float(v)
+    """``v`` as a float; anything but a finite JSON number is refused,
+    an integer past the float range included."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
     raise SchemaError(f"{what} must be a finite number")
 
 
@@ -230,17 +236,22 @@ def _parse_eps(raw, constants):
     return val
 
 
+def _within_cap(count, what, unit):
+    """Refuse ``what``, the key and value of a spec, if it needs more than
+    MAX_WINDOW_SITES ``unit``; ``count`` is exact integer arithmetic."""
+    if count > MAX_WINDOW_SITES:
+        raise SchemaError(f"{what} needs {count} {unit}; at most "
+                          f"{MAX_WINDOW_SITES} are allowed")
+
+
 def _parse_window(spec, stencil, default=None, source="window_radius"):
     """The window of the spec's window_radius or, if it has none, of the
     radius ``default``, which messages credit to the key ``source``."""
     radius = _integer(spec.get("window_radius", default), source,
                       stencil.range + 1)
-    window = Box.centered(radius, stencil.d)
-    sites = math.prod(window.padded(stencil.range).shape)
-    if sites > MAX_WINDOW_SITES:
-        raise SchemaError(f"{source} {radius} needs {sites} sites with "
-                          f"its collar; at most {MAX_WINDOW_SITES} are allowed")
-    return window
+    _within_cap((2 * (radius + stencil.range) + 1) ** stencil.d,
+                f"{source} {radius}", "sites with its collar")
+    return Box.centered(radius, stencil.d)
 
 
 def _parse_weights(p, n):
@@ -464,6 +475,9 @@ def cmd_continue(spec, out, seed, threads, tol):
     if probe:
         M1 = _integer(M1, "M1", 0)
         M2 = _integer(M2, "M2", M1 + model.stencil.range)
+        # the probe samples the labels on the ball of radius M2 + 3r
+        _within_cap((2 * (M2 + 3 * model.stencil.range) + 1) ** window.d,
+                    f"M2 {M2}", "sites in its truncation box")
     effective.update(p=p, s=s, k_max=k_max, M1=M1, M2=M2)
     _manifest(spec, out, effective, model, seed, tol)
 
@@ -495,6 +509,8 @@ def cmd_lamination(spec, out, seed, threads, tol):
     model, omega, eps, window, effective = _setup(spec)
     p = _parse_weights(spec.get("p"), model.potential.minima.size)
     n_samples = _integer(spec.get("n_samples"), "n_samples", 1)
+    _within_cap(n_samples * window.padded(model.stencil.range).size,
+                f"n_samples {n_samples}", "sites over its members")
     k_max = _integer(spec.get("k_max", 2), "k_max", 0)
     effective.update(p=p, n_samples=n_samples, k_max=k_max)
     _manifest(spec, out, effective, model, seed, tol)
@@ -543,19 +559,28 @@ def cmd_measure(spec, out, seed, threads, tol):
     if n > effective["window_radius"] + r:
         raise SchemaError(f"n must be at most window_radius + {r}, the "
                           "radius the continued configuration covers")
-    p = _parse_weights(spec.get("p"), model.potential.minima.size)
+    sig_n = model.potential.minima.size
+    p = _parse_weights(spec.get("p"), sig_n)
     inj = spec.get("injectivity")
     if inj is not None:
         ispec = spec.object("injectivity", "injectivity")
         spacing = _finite(ispec.get("spacing", 0.25), "injectivity spacing")
         if not 0.0 < spacing <= 1.0:
             raise SchemaError("injectivity spacing must lie in (0, 1]")
+        steps = int(round(1.0 / spacing))
+        # the grid holds the weights of at most `reach` steps in all, one
+        # measure of the window per grid point and one row per pair
+        reach = steps if 1.0 - steps * spacing >= -1e-12 else steps - 1
+        points = math.comb(reach + sig_n - 1, sig_n - 1)
+        what = f"injectivity spacing {spacing}"
+        _within_cap(points * window.padded(r).size, what,
+                    "sites over its grid")
+        _within_cap(points * (points - 1) // 2, what, "pair rows")
     effective.update(p=p, n=n, injectivity=inj)
     _manifest(spec, out, effective, model, seed, tol)
 
     mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
     _write_json(out / "measure.json", {"atoms": mu.as_pairs()})
-    sig_n = model.potential.minima.size
     fractions = _Reprs()
     _write_csv(out / "density.csv",
                ["n"] + [f"p{j + 1}" for j in range(sig_n)],
@@ -565,7 +590,6 @@ def cmd_measure(spec, out, seed, threads, tol):
                          for rad, fr in mu.density_table]}
 
     if inj is not None:
-        steps = int(round(1.0 / spacing))
         grid = []
         for combo in np.ndindex(*([steps + 1] * (sig_n - 1))):
             weights = [c * spacing for c in combo]
@@ -608,6 +632,9 @@ def cmd_cantorus(spec, out, seed, threads, tol):
         return _cmd_momentum(spec, out, seed, tol)
     model, omega, eps, window, effective = _setup(spec, radius=lambda _: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
+    # the members are windows of one hull sample n_samples sites longer
+    _within_cap(window.padded(model.stencil.range).size + n_samples,
+                f"n_samples {n_samples}", "sites in its stretched window")
     wells = spec.get("wells", "minima")
     if wells == "minima":
         sigma = model.potential.minima

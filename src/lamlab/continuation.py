@@ -242,7 +242,7 @@ class DefectResult:
     iterations: int
 
 
-def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
+def defect(model, eps, base, z, B):
     """Energy gained by relaxing z on the interior of B, boundary frozen.
 
     ``base`` holds minimum labels anchoring the frozen Newton diagonal and
@@ -271,7 +271,7 @@ def defect(model, eps, base, z, B, tol=1e-12, max_iter=MAX_ITER):
     interior = B.interior(r)
     sl = interior.slice_in(Bp)
     X = z.values.copy()
-    it = _relax(model, eps, X, Bp, interior, base.values, tol, max_iter)[0]
+    it = _relax(model, eps, X, Bp, interior, base.values, 1e-12, MAX_ITER)[0]
     value = action(model, eps, B, Configuration(Bp, X)) - action(model, eps, B, z)
     disp = float(np.max(np.abs(X[sl] - z.values[sl])))
     return DefectResult(value, disp, it)
@@ -333,12 +333,10 @@ def _ordering_matrix(xs):
 
 @dataclass
 class LaminationResult:
-    """``members[j]`` continues the sample at parameter ``s_values[j]`` of
-    the step hull of weights ``p``; ``order[a][b]`` is ``_order`` of
-    member b minus member a: "1" above, "-1" below, "0" equal, "x"
-    crossing."""
+    """``members[j]`` continues the sample at parameter ``s_values[j]``;
+    ``order[a][b]`` is ``_order`` of member b minus member a: "1" above,
+    "-1" below, "0" equal, "x" crossing."""
     members: list
-    p: np.ndarray
     s_values: list
     order: list
 
@@ -386,8 +384,7 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
                 else f"member {b} lies below member {a}",
                 witness=(int(a), int(b), tuple(site.tolist())),
             )
-    return LaminationResult(members, np.asarray(p, dtype=float), s_values,
-                            order)
+    return LaminationResult(members, s_values, order)
 
 
 def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum"):

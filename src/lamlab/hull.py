@@ -177,7 +177,7 @@ class HullFunction:
         return f"HullFunction({pairs})"
 
 
-def normalize_simplex(p, n=None, tol=1e-9):
+def normalize_simplex(p, n=None):
     """Clean a simplex point: clip tiny negatives, renormalize the total."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or (n is not None and p.size != n):
@@ -186,7 +186,7 @@ def normalize_simplex(p, n=None, tol=1e-9):
         raise ValueError(f"simplex entries must be nonnegative, got {np.min(p)!r}")
     p = np.clip(p, 0.0, None)
     total = p.sum()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"simplex entries sum to {total!r}, expected 1")
     # rescaling perturbs every entry by an ulp, so keep near-exact inputs
     # untouched and masses round-trip bit for bit
@@ -231,25 +231,23 @@ def sample_config(phi, omega, s, window):
     return Configuration(window, phi.value(args))
 
 
-def generic_parameter(phi, omega, window, s0, clearance=RESONANCE_TOL,
-                      phases=(0.0,)):
+def generic_parameter(phi, omega, window, s0):
     """Nudge s0 until no sampled argument sits near a plateau boundary.
 
-    Keeps adding an irrational offset while any s0 + phase + omega . i,
-    for a site i of the window and one of the ``phases``, lands within
-    ``clearance`` of a breakpoint mod 1; termination is guaranteed
-    because the offsets equidistribute while the bad set has small measure.
+    Keeps adding an irrational offset while any s0 + omega . i, for a
+    site i of the window, lands within RESONANCE_TOL of a breakpoint mod
+    1; termination is guaranteed because the offsets equidistribute while
+    the bad set has small measure.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    args = np.add.outer(np.asarray(phases, dtype=float),
-                        window.sites() @ omega).ravel()
+    args = window.sites() @ omega
     bp = phi.breakpoints
     s = float(s0)
     for _ in range(10000):
         pos = np.mod(s + args, 1.0)
         d = np.abs(pos[:, None] - np.mod(bp, 1.0)[None, :])
         d = np.minimum(d, 1.0 - d)
-        if np.min(d) > clearance:
+        if np.min(d) > RESONANCE_TOL:
             return s
         s += GENERICITY_OFFSET
     raise ValueError("could not find a generic parameter near s0")

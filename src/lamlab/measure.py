@@ -71,12 +71,12 @@ class CircleMeasure:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"total mass {total!r} is not 1")
 
-    def mass_at(self, location, tol=1e-9):
+    def mass_at(self, location):
         """Mass of the atom at a location (0 when absent)."""
         loc = float(np.mod(location, 1.0))
         d = np.abs(self.atoms - loc)
         d = np.minimum(d, 1.0 - d)
-        hits = np.nonzero(d <= tol)[0]
+        hits = np.nonzero(d <= 1e-9)[0]
         return float(self.masses[hits[0]]) if hits.size else 0.0
 
     def as_pairs(self):

@@ -139,27 +139,25 @@ def chaotic_momentum_orbit(model, eps, labels, window, tol=1e-8,
                            newton_tol=1e-12):
     """Continue a bounded critical label sequence and package the orbit.
 
-    ``model`` must be a one-dimensional harmonic chain, which turns each
-    continued equilibrium into a map orbit. Its envelope must cover the
-    label spread: an oscillation bound K of at least the largest label
-    step plus 2 (the CLI's default), so wilder label sequences get a
-    smaller certified coupling range.
+    ``labels`` is an array of critical values, one per site of the window
+    and its collar, left to right. ``model`` must be a one-dimensional
+    harmonic chain, which turns each continued equilibrium into a map
+    orbit. Its envelope must cover the label spread: an oscillation bound
+    K of at least the largest label step plus 2 (the CLI's default), so
+    wilder label sequences get a smaller certified coupling range.
     """
     if model.stencil.d != 1 or window.d != 1:
         raise ValueError("orbits are one-dimensional")
     if eps <= 0.0:
         raise ValueError("the map needs eps > 0")
     Bp = window.padded(1)
-    if isinstance(labels, Configuration):
-        config = labels
-    else:
-        arr = np.asarray(labels, dtype=float).ravel()
-        if arr.size != Bp.size:
-            raise ValueError(
-                f"need {Bp.size} label values to cover the window collar"
-            )
-        config = Configuration(Bp, arr)
-    res = quasi_newton_continue(model, eps, config, window, tol=newton_tol)
+    labels = np.asarray(labels, dtype=float).ravel()
+    if labels.size != Bp.size:
+        raise ValueError(
+            f"need {Bp.size} label values to cover the window collar"
+        )
+    res = quasi_newton_continue(model, eps, Configuration(Bp, labels), window,
+                                tol=newton_tol)
 
     # emit points only where the map step is backed by the equilibrium
     # equation: the frozen window edges do not satisfy it, so the orbit

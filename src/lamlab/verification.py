@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .birkhoff import check_comparison_principle, check_minmax_inequality, meet_join, translate
-from .continuation import (action, defect, defect_subadditivity_check,
+from .continuation import (action, defect_subadditivity_check,
                            quasi_newton_continue, residual_field)
 from .hull import (GOLDEN_MEAN, generic_parameter, sample_config,
                    step_hull_from_simplex)

@@ -504,6 +504,43 @@ def test_huge_integers_exit_1(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
+HUGE = "1" + "0" * 400  # a JSON integer past the float range
+TABLE_OF_HUGE = {"kind": "table", "samples": ["HUGE"] + [0.0] * 15}
+
+
+@pytest.mark.parametrize("command,body,what", [
+    ("continue", dict(BASE, eps="HUGE"), "eps"),
+    ("sweep", dict({k: v for k, v in BASE.items() if k != "eps"},
+                   eps_values=["eps1/2", "HUGE"]), "eps"),
+    ("continue", dict(BASE, model={"K": "HUGE"}), "model.K"),
+    ("continue", dict(BASE, model={"k": "HUGE"}), "model.k"),
+    ("continue", dict(BASE, s="HUGE"), "s"),
+    ("cantorus", dict(CANTORUS, s0="HUGE"), "s0"),
+    ("continue", dict(BASE, p=[0.3, "HUGE"]), "every entry of p"),
+    ("cantorus", dict(MOMENTUM, labels=["HUGE"] + [0.0] * 18,
+                      coin_flip=None), "every label"),
+    ("continue", dict(BASE, omega=["HUGE"]),
+     "every omega entry (a number or a known name)"),
+    ("continue", dict(BASE, model={"potential": TABLE_OF_HUGE}),
+     "every table sample"),
+    ("measure", dict(BASE, n=4, injectivity={"spacing": "HUGE"}),
+     "injectivity spacing"),
+    ("verify", {"checks": {"hull-axioms": "HUGE"}},
+     "the tolerance of hull-axioms"),
+], ids=["eps", "eps_values", "K", "k", "s", "s0", "p", "labels", "omega",
+        "samples", "spacing", "checks"])
+def test_huge_integers_name_their_key(tmp_path, capsys, command, body, what):
+    # each "HUGE" string of the body becomes the integer HUGE
+    body = {k: v for k, v in body.items() if v is not None}
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(body).replace('"HUGE"', HUGE))
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, [command, "--spec", str(spec), "--out", str(out)], 1)
+    assert err == f"error: {what} must be a finite number\n"
+    assert not out.exists()
+
+
 def test_cantorus_failures_keep_their_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "o")
     spec = write_spec(tmp_path, "c.json", CANTORUS)
@@ -979,6 +1016,87 @@ def test_huge_density_radius_without_window_names_n(tmp_path, capsys):
     assert err == ("error: n 100000000 needs 200000003 sites with its "
                    "collar; at most 67108864 are allowed\n")
     assert not out.exists()
+
+
+THREE_WELLS = dict(BASE, model={"potential": {"kind": "n_well", "N": 3}},
+                   p=[0.3, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("command,body,line", [
+    ("continue", dict(BASE, window_radius=10**30),
+     f"window_radius {10**30} needs {2 * 10**30 + 3} sites with its collar"),
+    ("continue", dict(BASE, M1=0, M2=10**23),
+     f"M2 {10**23} needs {2 * 10**23 + 7} sites in its truncation box"),
+    ("lamination", dict(BASE, n_samples=10**12),
+     f"n_samples {10**12} needs {19 * 10**12} sites over its members"),
+    ("cantorus", dict(CANTORUS, n_samples=10**14),
+     f"n_samples {10**14} needs {10**14 + 19} sites in its stretched window"),
+    # C(10**6 + 2, 2) grid points, each a measure over 19 sites
+    ("measure", dict(THREE_WELLS, n=8, injectivity={"spacing": 1e-6}),
+     "injectivity spacing 1e-06 needs 9500028500019 sites over its grid"),
+    # C(153, 2) = 11628 grid points over 7 sites, but 67599378 pairs
+    ("measure", dict(THREE_WELLS, window_radius=2, n=2,
+                     injectivity={"spacing": 1 / 151}),
+     f"injectivity spacing {1 / 151} needs 67599378 pair rows"),
+], ids=["window_radius", "M2", "lamination-n_samples", "cantorus-n_samples",
+        "measure-grid-sites", "measure-pair-rows"])
+def test_sizes_above_the_cap_are_refused_before_the_run_directory(
+        tmp_path, capsys, command, body, line):
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out)], 1)
+    assert err == f"error: {line}; at most {MAX_WINDOW_SITES} are allowed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body,key,at_cap,passed", [
+    # the padded window has 19 sites, and the stretched one n_samples more
+    ("cantorus", dict(CANTORUS, wells="bogus"), "n_samples",
+     MAX_WINDOW_SITES - 19, "wells must be 'minima' or 'criticals'"),
+    # a side of 2 (M2 + 3) + 1 sites
+    ("continue", dict(BASE, M1=0, bogus=1), "M2",
+     (MAX_WINDOW_SITES - 1) // 2 - 3, "unknown continue spec keys: ['bogus']"),
+    ("lamination", dict(BASE, k_max=-1), "n_samples", MAX_WINDOW_SITES // 19,
+     "k_max must be an integer of at least 0"),
+], ids=["cantorus-n_samples", "M2", "lamination-n_samples"])
+def test_size_caps_are_exact(tmp_path, capsys, command, body, key, at_cap,
+                             passed):
+    # at the cap the spec gets past the size check to a later fault, one
+    # more is refused; no run starts either way
+    for value, want in [(at_cap, passed), (at_cap + 1, f"{key} {at_cap + 1}")]:
+        out = tmp_path / str(value)
+        err = exits_with_one_line(capsys, [
+            command, "--spec",
+            write_spec(tmp_path, "s.json", dict(body, **{key: value})),
+            "--out", str(out)], 1)
+        assert err.startswith(f"error: {want}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("wells,steps", [(2, 11584), (3, 150)])
+def test_injectivity_pair_cap_is_exact(tmp_path, capsys, wells, steps):
+    # the grid of spacing 1/steps has C(steps + wells - 1, wells - 1)
+    # points and at most MAX_WINDOW_SITES pairs, the next finer grid has
+    # more; the first run stops at a stray key
+    def pairs(steps):
+        points = math.comb(steps + wells - 1, wells - 1)
+        return points * (points - 1) // 2
+
+    assert pairs(steps) <= MAX_WINDOW_SITES < pairs(steps + 1)
+    model = {"potential": {"kind": "n_well", "N": wells}}
+    body = dict(BASE, model=model, p=[1.0 / wells] * wells, window_radius=2,
+                n=2, bogus=1)
+    for s, want in [(steps, "unknown measure spec keys: ['bogus']"),
+                    (steps + 1, f"injectivity spacing {1 / (steps + 1)} "
+                                f"needs {pairs(steps + 1)} pair rows")]:
+        err = exits_with_one_line(capsys, [
+            "measure", "--spec",
+            write_spec(tmp_path, "s.json",
+                       dict(body, injectivity={"spacing": 1 / s})),
+            "--out", str(tmp_path / "o")], 1)
+        assert err.startswith(f"error: {want}")
+    assert not (tmp_path / "o").exists()
 
 
 # a table potential with the two wells of the default n_well potential

@@ -1,5 +1,7 @@
-"""The package's public surface: ``__all__`` and README's entry points."""
+"""The package's public surface: ``__all__``, README's entry points, and
+imports each module uses."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,3 +23,30 @@ def test_readme_entry_points_are_exported():
     names = set(re.findall(r"`([A-Za-z_]\w*)", section))
     assert {"build_model", "quasi_newton_continue", "run_suite"} <= names
     assert sorted(names - set(lamlab.__all__)) == []
+
+
+def unused_imports(source):
+    """Names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - read, key=imported.get)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nfrom a.b import c, d as e\nimport f.g\nc(f)\n"
+    assert unused_imports(source) == ["os", "e"]
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ imports names to export them
+    package = Path(lamlab.__file__).parent
+    unused = {path.name: unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -281,10 +281,6 @@ def test_chaotic_momentum_orbit(model1):
     # deterministic: the same labels give the same orbit bit for bit
     again = chaotic_momentum_orbit(model, 5e-4, labels, window)
     assert np.array_equal(orbit.points, again.points)
-    # a Configuration argument is equivalent to the raw array
-    cfg = Configuration(window.padded(1), np.asarray(labels, dtype=float))
-    third = chaotic_momentum_orbit(model, 5e-4, cfg, window)
-    assert np.array_equal(orbit.points, third.points)
 
 
 def test_chaotic_momentum_orbit_guards(model1, model2):
