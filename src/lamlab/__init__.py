@@ -20,7 +20,8 @@ from .hull import (GOLDEN_MEAN, HullFunction, check_irrational,
                    normalize_simplex, sample_config, step_hull_from_simplex)
 from .lattice import Box, Configuration, ball_offsets, l1_norms
 from .measure import (CircleMeasure, injectivity_pairs, measure_from_density,
-                      measure_from_hull, psi_epsilon, vague_distance)
+                      measure_from_hull, psi_epsilon, psi_epsilon_grid,
+                      vague_distance)
 from .model import (InteractionStencil, Model, ModelConstants,
                     Potential, build_model, builtin_harmonic_stencil,
                     builtin_n_well, estimate_constants, find_criticals,
@@ -48,7 +49,8 @@ __all__ = [
     "injectivity_pairs", "l1_norms", "maximum_breaks_order",
     "measure_from_density", "measure_from_hull", "meet_join",
     "normalize_simplex", "osc_bound",
-    "potential_from_table", "psi_epsilon", "quasi_newton_continue",
+    "potential_from_table", "psi_epsilon", "psi_epsilon_grid",
+    "quasi_newton_continue",
     "residual_field", "run_suite", "sample_config", "standard_map_step",
     "step_hull_from_simplex", "translate", "truncation_consistency",
     "vague_distance",

@@ -31,7 +31,7 @@ from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
                    sample_config, step_hull_from_simplex)
 from .lattice import Box
 from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
-                      injectivity_pairs, psi_epsilon)
+                      injectivity_pairs, psi_epsilon_grid)
 from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
                     builtin_n_well, potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
@@ -50,6 +50,10 @@ _REFUSALS = (ContinuationRefused, ContractionEscape, LaminationBroken,
 # allocated or written; far above every run the tests and the benchmark
 # make
 MAX_WINDOW_SITES = 2**26
+# the largest stencil dimension d whose smallest window fits: the harmonic
+# stencil has range 1, so the smallest window radius is 2 and its padded
+# box has 7**d sites
+MAX_DIMENSION = max(d for d in range(1, 64) if 7**d <= MAX_WINDOW_SITES)
 
 # rows per write of a CSV file, and pairs per block of the injectivity
 # table: the text of one block is all a writer holds at a time
@@ -162,7 +166,9 @@ def _model_parts(spec):
                          {"kind": "n_well", "N": 2})
     kind = pspec["kind"]
     if kind == "n_well":
-        potential = builtin_n_well(_integer(pspec.get("N", 2), "n_well N", 1))
+        wells = _integer(pspec.get("N", 2), "n_well N", 1)
+        _within_cap(2 * wells, f"n_well N {wells}", "critical points")
+        potential = builtin_n_well(wells)
     elif kind == "table":
         samples = pspec.get("samples")
         if not isinstance(samples, list) or len(samples) < 8:
@@ -177,6 +183,11 @@ def _model_parts(spec):
     if sspec["kind"] != "harmonic":
         raise SchemaError("model.stencil must be harmonic (with a dimension d)")
     d = _integer(sspec.get("d", 1), "stencil dimension d", 1)
+    if d > MAX_DIMENSION:
+        # 7**d is never computed: d may have hundreds of digits
+        raise SchemaError(f"stencil dimension d {d} needs 7**{d} sites in its "
+                          f"smallest window; at most {MAX_WINDOW_SITES} are "
+                          f"allowed, so d is at most {MAX_DIMENSION}")
     flip_sign = sspec.get("flip_sign", False)
     if not isinstance(flip_sign, bool):
         raise SchemaError("stencil flip_sign must be true or false")
@@ -240,8 +251,20 @@ def _within_cap(count, what, unit):
     """Refuse ``what``, the key and value of a spec, if it needs more than
     MAX_WINDOW_SITES ``unit``; ``count`` is exact integer arithmetic."""
     if count > MAX_WINDOW_SITES:
-        raise SchemaError(f"{what} needs {count} {unit}; at most "
+        raise SchemaError(f"{what} needs {_decimal(count)} {unit}; at most "
                           f"{MAX_WINDOW_SITES} are allowed")
+
+
+def _decimal(count):
+    """The decimal digits of a nonnegative int of any length; ``str``
+    refuses ints of more than sys.get_int_max_str_digits() digits, so the
+    digits are cut into blocks of 1000 that it accepts."""
+    block = 10**1000
+    parts = []
+    while count >= block:
+        count, low = divmod(count, block)
+        parts.append(f"{low:01000d}")
+    return str(count) + "".join(reversed(parts))
 
 
 def _parse_window(spec, stencil, default=None, source="window_radius"):
@@ -579,7 +602,12 @@ def cmd_measure(spec, out, seed, threads, tol):
     effective.update(p=p, n=n, injectivity=inj)
     _manifest(spec, out, effective, model, seed, tol)
 
-    mu = psi_epsilon(model, eps, p, omega, window, n, tol=tol)
+    grid = [] if inj is None else _simplex_grid(sig_n, spacing)
+    # one family over the window: the spec's own p, then the grid; each
+    # grid measure is dropped once its masses are stacked
+    measures = psi_epsilon_grid(model, eps, [p] + grid, omega, window, n,
+                                tol=tol)
+    mu = next(measures)
     _write_json(out / "measure.json", {"atoms": mu.as_pairs()})
     fractions = _Reprs()
     _write_csv(out / "density.csv",
@@ -590,16 +618,6 @@ def cmd_measure(spec, out, seed, threads, tol):
                          for rad, fr in mu.density_table]}
 
     if inj is not None:
-        grid = []
-        for combo in np.ndindex(*([steps + 1] * (sig_n - 1))):
-            weights = [c * spacing for c in combo]
-            tail = 1.0 - sum(weights)
-            if tail < -1e-12:
-                continue
-            grid.append(weights + [max(tail, 0.0)])
-        # each measure is dropped once its masses are stacked
-        measures = (psi_epsilon(model, eps, q, omega, window, n, tol=tol)
-                    for q in grid)
         pairs = injectivity_pairs(grid, measures, _BLOCK)
         names = np.array([str(q) for q in range(len(grid))], object)
         l1_texts, dist_texts = _Reprs(), _Reprs()
@@ -621,6 +639,33 @@ def cmd_measure(spec, out, seed, threads, tol):
 
     _write_json(out / "summary.json", summary)
     return EXIT_OK
+
+
+def _simplex_grid(wells, spacing):
+    """The weights of the simplex grid of a spacing: each tuple of
+    integer steps c for the first wells - 1 weights, in lexicographic
+    order, whose weights c * spacing leave a tail 1 - sum >= -1e-12, with
+    the tail as the last weight. A prefix whose tail already fails ends
+    its branch, since adding a weight of at least 0 never raises a
+    rounded tail; so only kept tuples and one failing step per branch are
+    visited, not all (steps + 1)**(wells - 1)."""
+    steps = int(round(1.0 / spacing))
+    grid = []
+    # a stack of (weights, their sum) prefixes, the next one popped first
+    stack = [([], 0)]
+    while stack:
+        weights, total = stack.pop()
+        if len(weights) == wells - 1:
+            grid.append(weights + [max(1.0 - total, 0.0)])
+            continue
+        branch = []
+        for c in range(steps + 1):
+            w = c * spacing
+            if 1.0 - (total + w) < -1e-12:
+                break
+            branch.append((weights + [w], total + w))
+        stack.extend(reversed(branch))
+    return grid
 
 
 def cmd_cantorus(spec, out, seed, threads, tol):

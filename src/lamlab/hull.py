@@ -222,13 +222,7 @@ def step_hull_from_simplex(p, sigma):
 def sample_config(phi, omega, s, window):
     """Configuration x_i = phi(s + omega . i) over a window box. Any omega
     is sampled: a rational one gives a periodic configuration."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not isinstance(window, Box):
-        raise ValueError("window must be a Box")
-    if omega.size != window.d:
-        raise ValueError("rotation vector dimension must match the window")
-    args = s + window.sites() @ omega
-    return Configuration(window, phi.value(args))
+    return Configuration(window, phi.value(s + _phases(omega, window)))
 
 
 def generic_parameter(phi, omega, window, s0):
@@ -239,12 +233,25 @@ def generic_parameter(phi, omega, window, s0):
     1; termination is guaranteed because the offsets equidistribute while
     the bad set has small measure.
     """
+    return _generic_shift(phi, _phases(omega, window), s0)
+
+
+def _phases(omega, window):
+    """The phases omega . i of the sites i of a window box, in site order."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    args = window.sites() @ omega
+    if not isinstance(window, Box):
+        raise ValueError("window must be a Box")
+    if omega.size != window.d:
+        raise ValueError("rotation vector dimension must match the window")
+    return window.sites() @ omega
+
+
+def _generic_shift(phi, phases, s0):
+    """``generic_parameter`` on precomputed site phases."""
     bp = phi.breakpoints
     s = float(s0)
     for _ in range(10000):
-        pos = np.mod(s + args, 1.0)
+        pos = np.mod(s + phases, 1.0)
         d = np.abs(pos[:, None] - np.mod(bp, 1.0)[None, :])
         d = np.minimum(d, 1.0 - d)
         if np.min(d) > RESONANCE_TOL:

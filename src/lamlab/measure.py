@@ -22,9 +22,9 @@ import numpy as np
 
 from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import UnclassifiableSite
-from .hull import (check_irrational, generic_parameter, sample_config,
+from .hull import (_generic_shift, _phases, check_irrational,
                    step_hull_from_simplex)
-from .lattice import Box, l1_norms
+from .lattice import Box, Configuration, l1_norms
 
 ATOM_MERGE_TOL = 1e-12
 DEFAULT_DENSITY_RADIUS = {1: 377, 2: 60}
@@ -101,39 +101,55 @@ def measure_from_density(config, sigma, delta0, n):
     sigma = np.mod(np.asarray(sigma, dtype=float), 1.0)
     if sigma.ndim != 1 or sigma.size == 0:
         raise ValueError("need a nonempty list of wells")
+    return _count(config.values, sigma, delta0,
+                  _ball_table(config.domain, n))
+
+
+def _ball_table(domain, n):
+    """The ball radii n/4, n/2 and n of a counting measure over a box, the
+    flat indices of the box's sites in the largest ball, and the band of
+    each: the index of the smallest radius whose ball holds it."""
     n = int(n)
     if n < 1:
         raise ValueError("ball radius must be positive")
-    d = config.domain.d
-    if not config.domain.contains_box(Box.centered(n, d)):
+    if not domain.contains_box(Box.centered(n, domain.d)):
         raise ValueError("configuration does not cover the ball of radius n")
+    norms = l1_norms(domain.sites())
+    inside = np.flatnonzero(norms <= n)
+    radii = sorted({max(n // 4, 1), max(n // 2, 1), n})
+    band = np.searchsorted(radii, norms[inside])
+    return domain, radii, inside, band
 
-    sites = config.domain.sites()
-    norms = l1_norms(sites)
-    vals = np.mod(config.values.ravel(), 1.0)
+
+def _count(values, sigma, delta0, table):
+    """Counting measure of the values on a ball table's box: classify the
+    sites of the largest ball by their nearest well in ``sigma`` (reduced
+    mod 1), then count every ball with one bincount over (band, well)."""
+    domain, radii, inside, band = table
+    flat = values.ravel()[inside]
+    vals = np.mod(flat, 1.0)
     dist = np.abs(vals[:, None] - sigma[None, :])
     dist = np.minimum(dist, 1.0 - dist)
     nearest = np.argmin(dist, axis=1)
     best = dist[np.arange(dist.shape[0]), nearest]
-    inside = norms <= n
-    bad = inside & (best > delta0)
+    bad = best > delta0
     if np.any(bad):
         worst = int(np.argmax(np.where(bad, best, -np.inf)))
+        at = np.unravel_index(inside[worst], domain.shape)
         raise UnclassifiableSite(
             f"site value {vals[worst]!r} is {best[worst]:.3g} from the nearest "
             f"well, beyond the classification radius {delta0:.3g}",
-            site=tuple(sites[worst].tolist()),
-            value=float(config.values.ravel()[worst]),
+            site=tuple(lo + int(i) for lo, i in zip(domain.lo, at)),
+            value=float(flat[worst]),
         )
-
-    radii = sorted({max(n // 4, 1), max(n // 2, 1), n})
-    table = []
-    for rad in radii:
-        mask = norms <= rad
-        counts = np.bincount(nearest[mask], minlength=sigma.size).astype(float)
-        table.append((rad, counts / float(np.sum(mask))))
-    fractions = table[-1][1]
-    return CircleMeasure(sigma, fractions, density_table=table)
+    # row j counts the sites of band j by well; the cumulative sum over
+    # the bands counts each ball
+    counts = np.bincount(band * sigma.size + nearest,
+                         minlength=len(radii) * sigma.size)
+    counts = np.cumsum(counts.reshape(len(radii), sigma.size), axis=0)
+    table = [(rad, row.astype(float) / float(np.sum(row)))
+             for rad, row in zip(radii, counts)]
+    return CircleMeasure(sigma, table[-1][1], density_table=table)
 
 
 def vague_distance(a, b):
@@ -223,23 +239,36 @@ def default_density_radius(window, r):
 
 
 def psi_epsilon(model, eps, p, omega, window, n=None, tol=1e-12):
-    """The simplex-to-measure map at finite coupling.
+    """The simplex-to-measure map at finite coupling: ``psi_epsilon_grid``
+    at the one point p."""
+    return next(psi_epsilon_grid(model, eps, [p], omega, window, n, tol))
 
-    Builds the step hull of p, samples it along omega over the window,
-    continues the sample, and returns its counting measure over the ball
-    of radius n (by default ``default_density_radius``). Certified only
-    up to eps1, where continuation keeps every site inside its
-    classification interval.
+
+def psi_epsilon_grid(model, eps, points, omega, window, n=None, tol=1e-12):
+    """The simplex-to-measure map at finite coupling, over a family of
+    simplex points that share one window.
+
+    For each point p, in order, builds the step hull of p, samples it
+    along omega over the window, continues the sample, and yields its
+    counting measure over the ball of radius n (by default
+    ``default_density_radius``). The checks of omega, eps and n, the site
+    phases and the ball table are made once, at the first measure.
+    Certified only up to eps1, where continuation keeps every site inside
+    its classification interval.
     """
     omega = check_irrational(omega)
     cst = model.constants
     _refuse_coupling(cst, eps, "eps1")
     if n is None:
         n = default_density_radius(window, model.stencil.range)
-    phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
-    s = generic_parameter(phi, omega, Bp, 0.5)
-    x0 = sample_config(phi, omega, s, Bp)
-    res = quasi_newton_continue(model, eps, x0, window, tol=tol)
-    return measure_from_density(res.solution, model.potential.minima,
-                                cst.delta0, n)
+    phases = _phases(omega, Bp)
+    table = _ball_table(Bp, n)
+    minima = model.potential.minima
+    sigma = np.mod(minima, 1.0)
+    for p in points:
+        phi = step_hull_from_simplex(p, minima)
+        s = _generic_shift(phi, phases, 0.5)
+        x0 = Configuration(Bp, phi.value(s + phases))
+        res = quasi_newton_continue(model, eps, x0, window, tol=tol)
+        yield _count(res.solution.values, sigma, cst.delta0, table)

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from lamlab import (GOLDEN_MEAN, Box, build_model, builtin_harmonic_stencil,
                     builtin_n_well, chaotic_momentum_orbit, generic_parameter,
-                    psi_epsilon, quasi_newton_continue, residual_field,
-                    sample_config, step_hull_from_simplex, vague_distance)
-from lamlab import cli, errors, verification
+                    psi_epsilon, psi_epsilon_grid, quasi_newton_continue,
+                    residual_field, sample_config, step_hull_from_simplex,
+                    vague_distance)
+import lamlab
+from lamlab import (cli, continuation, errors, measure, twistmap,
+                    verification)
 from lamlab.cli import MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
 from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
                                  continue_lamination)
@@ -624,10 +627,11 @@ def check_injectivity_table(tmp_path, monkeypatch, wells, spacing):
     measures = []
 
     def recording(*args, **kwargs):
-        measures.append(psi_epsilon(*args, **kwargs))
-        return measures[-1]
+        for mu in psi_epsilon_grid(*args, **kwargs):
+            measures.append(mu)
+            yield mu
 
-    monkeypatch.setattr(cli, "psi_epsilon", recording)
+    monkeypatch.setattr(cli, "psi_epsilon_grid", recording)
     body = dict(BASE, model={"potential": {"kind": "n_well", "N": wells}},
                 p=[1.0 / wells] * wells, n=4,
                 injectivity={"spacing": spacing})
@@ -1097,6 +1101,146 @@ def test_injectivity_pair_cap_is_exact(tmp_path, capsys, wells, steps):
             "--out", str(tmp_path / "o")], 1)
         assert err.startswith(f"error: {want}")
     assert not (tmp_path / "o").exists()
+
+
+def ndindex_grid(wells, spacing):
+    """The injectivity grid as ``cmd_measure`` built it by walking every
+    index tuple of ``np.ndindex`` and dropping those that do not fit."""
+    steps = int(round(1.0 / spacing))
+    grid = []
+    for combo in np.ndindex(*([steps + 1] * (wells - 1))):
+        weights = [c * spacing for c in combo]
+        tail = 1.0 - sum(weights)
+        if tail < -1e-12:
+            continue
+        grid.append(weights + [max(tail, 0.0)])
+    return grid
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.5, 0.3, 0.25, 0.04])
+@pytest.mark.parametrize("wells", [2, 3, 4, 5])
+def test_injectivity_grid_matches_the_ndindex_walk(wells, spacing):
+    grid = cli._simplex_grid(wells, spacing)
+    want = ndindex_grid(wells, spacing)
+    assert grid == want
+    # the same floats, not just equal ones
+    assert np.asarray(grid).tobytes() == np.asarray(want).tobytes()
+
+
+def test_injectivity_grid_of_thirty_wells_at_spacing_one():
+    # the walk would visit 2**29 tuples to keep these 30
+    grid = cli._simplex_grid(30, 1.0)
+    assert grid == np.eye(30)[::-1].tolist()
+
+
+@pytest.mark.parametrize("key,value,line", [
+    ("d", 10, "stencil dimension d 10 needs 7**10 sites in its smallest "
+              "window; at most 67108864 are allowed, so d is at most 9"),
+    ("d", 10**400, f"stencil dimension d {10**400} needs 7**{10**400} sites "
+                   "in its smallest window; at most 67108864 are allowed, "
+                   "so d is at most 9"),
+    ("N", 2**25 + 1, "n_well N 33554433 needs 67108866 critical points; at "
+                     "most 67108864 are allowed"),
+    ("N", 10**400, f"n_well N {10**400} needs {2 * 10**400} critical "
+                   "points; at most 67108864 are allowed"),
+], ids=["d-10", "d-huge", "N-over-cap", "N-huge"])
+def test_model_sizes_are_refused_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch, key, value, line):
+    def unbuilt(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "builtin_harmonic_stencil" if key == "d"
+                        else "builtin_n_well", unbuilt)
+    model = ({"stencil": {"kind": "harmonic", "d": value}} if key == "d"
+             else {"potential": {"kind": "n_well", "N": value}})
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "continue", "--spec",
+        write_spec(tmp_path, "s.json", dict(BASE, model=model)),
+        "--out", str(out)], 1)
+    assert err == f"error: {line}\n"
+    assert not out.exists()
+
+
+def test_largest_model_sizes_are_accepted(tmp_path, capsys, monkeypatch):
+    # d = 9 is built and stops at omega; N = 2**25 reaches the model build,
+    # which is replaced so that nothing is allocated
+    def built(N):
+        raise errors.SchemaError(f"built {N} wells")
+
+    for model, want in [
+            ({"stencil": {"kind": "harmonic", "d": 9}},
+             "omega has 1 components, model is 9-dimensional"),
+            ({"potential": {"kind": "n_well", "N": 2**25}},
+             "built 33554432 wells")]:
+        if "potential" in model:
+            monkeypatch.setattr(cli, "builtin_n_well", built)
+        out = tmp_path / "o"
+        err = exits_with_one_line(capsys, [
+            "continue", "--spec",
+            write_spec(tmp_path, "s.json", dict(BASE, model=model)),
+            "--out", str(out)], 1)
+        assert err == f"error: {want}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [
+    0, 7, 10**999, 10**1000 - 1, 10**1000, 10**1000 + 1, 10**2000,
+    3 * 10**2500 + 10**1000 + 17, 2**14000 - 1])
+def test_decimal_matches_str(count):
+    assert cli._decimal(count) == str(count)
+
+
+def test_cap_line_names_a_count_of_any_length(tmp_path, capsys):
+    # (2 (R + 1) + 1)**2 = 4 10**4400 + 12 10**2200 + 9 has 4401 digits,
+    # past the 4300 that str() of an int gives
+    radius = 10**2200
+    count = "4" + "0" * 2198 + "12" + "0" * 2199 + "9"
+    body = dict(BASE, model={"stencil": {"kind": "harmonic", "d": 2}},
+                omega=["sqrt2-1", "sqrt3-1"], window_radius=radius)
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "continue", "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out)], 1)
+    assert err == (f"error: window_radius {radius} needs {count} sites with "
+                   "its collar; at most 67108864 are allowed\n")
+    assert not out.exists()
+
+
+def count_continuations(monkeypatch):
+    """Patch quasi_newton_continue at every module binding of the package
+    with a wrapper that counts its calls; returns the list of windows."""
+    windows = []
+    original = continuation.quasi_newton_continue
+
+    def counted(model, eps, x0, B, *args, **kwargs):
+        windows.append(B)
+        return original(model, eps, x0, B, *args, **kwargs)
+
+    for mod in (lamlab, cli, continuation, measure, twistmap, verification):
+        if getattr(mod, "quasi_newton_continue", None) is original:
+            monkeypatch.setattr(mod, "quasi_newton_continue", counted)
+    return windows
+
+
+@pytest.mark.parametrize("command,body,calls", [
+    ("lamination", dict(BASE, n_samples=5), lambda summary: 5),
+    ("cantorus", dict(CANTORUS, n_samples=6), lambda summary: 7),
+    ("measure", dict(THREE_WELLS, n=8, injectivity={"spacing": 0.25}),
+     lambda summary: len(summary["injectivity"]["grid"]) + 1),
+], ids=["lamination", "cantorus", "measure"])
+def test_one_continuation_per_member(tmp_path, monkeypatch, command, body,
+                                     calls):
+    # the benchmark's trace gate reads one quasi_newton_continue call per
+    # member, over the spec's window, at every binding it wraps
+    windows = count_continuations(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, "--spec", write_spec(tmp_path, "s.json", body),
+                 "--out", str(out), "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(windows) == calls(summary)
+    if command != "cantorus":
+        assert set(windows) == {Box.centered(body["window_radius"], 1)}
 
 
 # a table potential with the two wells of the default n_well potential

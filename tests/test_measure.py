@@ -12,16 +12,23 @@ from lamlab import (
     build_model,
     builtin_harmonic_stencil,
     builtin_n_well,
+    check_irrational,
     generic_parameter,
     injectivity_pairs,
+    l1_norms,
     measure_from_density,
     measure_from_hull,
+    potential_from_table,
     psi_epsilon,
+    psi_epsilon_grid,
     quasi_newton_continue,
     sample_config,
     step_hull_from_simplex,
     vague_distance,
 )
+from lamlab import measure
+from lamlab.continuation import _refuse_coupling
+from lamlab.measure import default_density_radius
 
 WELLS = np.asarray([0.0, 0.5])
 
@@ -232,3 +239,159 @@ def test_psi_epsilon_recovers_simplex(model1, golden):
     with pytest.raises(ContinuationRefused):
         psi_epsilon(model1, 1.5 * model1.constants.eps1, [0.3, 0.7], golden,
                     window, n=40)
+
+
+def reference_density(config, sigma, delta0, n):
+    """``measure_from_density`` as it counted before the ball table: every
+    site classified, one mask per ball radius."""
+    sigma = np.mod(np.asarray(sigma, dtype=float), 1.0)
+    n = int(n)
+    sites = config.domain.sites()
+    norms = l1_norms(sites)
+    vals = np.mod(config.values.ravel(), 1.0)
+    dist = np.abs(vals[:, None] - sigma[None, :])
+    dist = np.minimum(dist, 1.0 - dist)
+    nearest = np.argmin(dist, axis=1)
+    best = dist[np.arange(dist.shape[0]), nearest]
+    inside = norms <= n
+    bad = inside & (best > delta0)
+    if np.any(bad):
+        worst = int(np.argmax(np.where(bad, best, -np.inf)))
+        raise UnclassifiableSite(
+            f"site value {vals[worst]!r} is {best[worst]:.3g} from the nearest "
+            f"well, beyond the classification radius {delta0:.3g}",
+            site=tuple(sites[worst].tolist()),
+            value=float(config.values.ravel()[worst]),
+        )
+    table = []
+    for rad in sorted({max(n // 4, 1), max(n // 2, 1), n}):
+        mask = norms <= rad
+        counts = np.bincount(nearest[mask], minlength=sigma.size).astype(float)
+        table.append((rad, counts / float(np.sum(mask))))
+    return CircleMeasure(sigma, table[-1][1], density_table=table)
+
+
+def reference_psi(model, eps, p, omega, window, n=None, tol=1e-12,
+                  cont=quasi_newton_continue):
+    """``psi_epsilon`` as it was before the grid: one point, every step
+    through the public functions."""
+    omega = check_irrational(omega)
+    cst = model.constants
+    _refuse_coupling(cst, eps, "eps1")
+    if n is None:
+        n = default_density_radius(window, model.stencil.range)
+    phi = step_hull_from_simplex(p, model.potential.minima)
+    Bp = window.padded(model.stencil.range)
+    s = generic_parameter(phi, omega, Bp, 0.5)
+    x0 = sample_config(phi, omega, s, Bp)
+    res = cont(model, eps, x0, window, tol=tol)
+    return reference_density(res.solution, model.potential.minima,
+                             cst.delta0, n)
+
+
+def assert_same_measure(mu, want):
+    assert mu.atoms.tobytes() == want.atoms.tobytes()
+    assert mu.masses.tobytes() == want.masses.tobytes()
+    assert [rad for rad, _ in mu.density_table] == \
+        [rad for rad, _ in want.density_table]
+    for (_, got), (_, ref) in zip(mu.density_table, want.density_table):
+        assert got.tobytes() == ref.tobytes()
+
+
+TABLE_WELLS = potential_from_table(
+    -np.cos(2.0 * np.pi * np.arange(64) / 64.0)
+    - 0.8 * np.cos(4.0 * np.pi * np.arange(64) / 64.0 + 0.7))
+
+
+@pytest.fixture(scope="module")
+def grid_cases(golden):
+    omega2 = np.asarray([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
+
+    def case(potential, d, omega, radius, n, points):
+        model = build_model(potential, builtin_harmonic_stencil(d),
+                            omega=omega)
+        return (model, model.constants.eps1 / 2.0, points, omega,
+                Box.centered(radius, d), n)
+
+    wells = TABLE_WELLS.minima.size
+    return {
+        # every point of the spacing-1/4 grid, zero-mass wells included
+        "1d-three-wells": case(
+            builtin_n_well(3), 1, golden, 40, 40,
+            [[a / 4, b / 4, (4 - a - b) / 4]
+             for a in range(5) for b in range(5 - a)]),
+        "2d": case(builtin_n_well(2), 2, omega2, 60, None,
+                   [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0]]),
+        "table": case(TABLE_WELLS, 1, golden, 30, 30,
+                      [[1.0 / wells] * wells,
+                       [1.0] + [0.0] * (wells - 1)]),
+        "zero-mass-well": case(builtin_n_well(3), 1, golden, 24, 17,
+                               [[0.0, 0.4, 0.6], [0.5, 0.0, 0.5]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["1d-three-wells", "2d", "table",
+                                  "zero-mass-well"])
+def test_psi_epsilon_grid_matches_per_point_reference(grid_cases, name):
+    model, eps, points, omega, window, n = grid_cases[name]
+    measures = list(psi_epsilon_grid(model, eps, points, omega, window, n))
+    assert len(measures) == len(points)
+    for p, mu in zip(points, measures):
+        assert_same_measure(mu, reference_psi(model, eps, p, omega, window,
+                                              n))
+    # the one-point form is the grid at [p]
+    assert_same_measure(psi_epsilon(model, eps, points[-1], omega, window, n),
+                        measures[-1])
+
+
+def test_psi_epsilon_grid_names_the_same_unclassifiable_site(
+        grid_cases, monkeypatch):
+    model, eps, points, omega, window, n = grid_cases["zero-mass-well"]
+    r = model.stencil.range
+
+    def drifting(model, eps, x0, B, tol):
+        # two sites of the ball leave their wells (the wells are 1/3
+        # apart), the second further; a site outside the ball goes further
+        # still and must not count
+        res = quasi_newton_continue(model, eps, x0, B, tol=tol)
+        values = res.solution.values
+        values[r + window.hi[0] + 3] += 0.1
+        values[r + window.hi[0] - 5] -= 0.15
+        values[0] += 0.16
+        return res
+
+    monkeypatch.setattr(measure, "quasi_newton_continue", drifting)
+    for p in points:
+        with pytest.raises(UnclassifiableSite) as ref:
+            reference_psi(model, eps, p, omega, window, n, cont=drifting)
+        with pytest.raises(UnclassifiableSite) as got:
+            next(psi_epsilon_grid(model, eps, [p], omega, window, n))
+        assert str(got.value) == str(ref.value)
+        assert got.value.site == ref.value.site == (-5,)
+        assert got.value.value == ref.value.value
+
+
+def test_psi_epsilon_grid_checks_omega_once(grid_cases, monkeypatch):
+    model, eps, points, omega, window, n = grid_cases["1d-three-wells"]
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return check_irrational(omega)
+
+    monkeypatch.setattr(measure, "check_irrational", counted)
+    assert len(list(psi_epsilon_grid(model, eps, points, omega, window,
+                                      n))) == len(points)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d,radius,n", [(1, 20, 1), (1, 20, 2), (1, 20, 3),
+                                        (1, 20, 17), (2, 9, 7), (2, 9, 9)])
+def test_measure_from_density_matches_mask_counting(d, radius, n):
+    rng = np.random.default_rng(7 + d + n)
+    dom = Box.centered(radius, d)
+    wells = np.asarray([0.0, 0.3, 0.6])
+    base = rng.choice(wells, size=dom.size) + rng.integers(-3, 4, dom.size)
+    config = Configuration(dom, base + rng.uniform(-0.05, 0.05, dom.size))
+    assert_same_measure(measure_from_density(config, wells, 0.1, n),
+                        reference_density(config, wells, 0.1, n))
