@@ -21,6 +21,7 @@ Constants and their roles:
               convex over the trust ball (needed by the defect calculus).
 """
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -32,6 +33,81 @@ TOL_CRIT = 1e-10
 CRITICAL_GRID = 4096
 SAMPLE_WINDOWS = 256
 SAMPLE_SEED = 0x5EED
+
+# PCG64 XSL-RR (O'Neill 2014) as NumPy seeds it from SAMPLE_SEED: the
+# 128-bit state and increment of np.random.PCG64(SAMPLE_SEED).state, and
+# NumPy's multiplier
+_PCG_STATE = 2308840470998917848970343288548873417
+_PCG_INC = 158632560045879711472538546351268876111
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_LIMB = np.uint64(32)
+_LIMB_MASK = np.uint64(0xFFFFFFFF)
+# the generator's state after the unit doubles drawn so far in this process
+_drawn = (_PCG_STATE, np.empty(0))
+
+
+def _limbs(v):
+    """A 128-bit integer as a column of four 32-bit limbs, lowest first."""
+    return np.array([[(v >> 32 * j) & 0xFFFFFFFF] for j in range(4)],
+                    dtype=np.uint64)
+
+
+def _affine(x, a, c):
+    """``(a * x + c) mod 2**128`` for every column of ``x``, a (4, m) array
+    of 32-bit limbs. Each limb product is split at bit 32 between the two
+    columns it adds to, so no column reaches 2**36 before the carries."""
+    a, y = _limbs(a)[:, 0], _limbs(c) + np.zeros_like(x)
+    for i in range(4):
+        for k in range(4 - i):
+            p = x[i] * a[k]
+            y[i + k] += p & _LIMB_MASK
+            if i + k < 3:
+                y[i + k + 1] += p >> _LIMB
+    for j in range(3):
+        y[j + 1] += y[j] >> _LIMB
+    return y & _LIMB_MASK
+
+
+def _pcg64_units(state, n):
+    """The next n unit doubles of PCG64 from ``state``, and the state after
+    them: ``(out >> 11) * 2**-53`` of each XSL-RR output, as NumPy's
+    ``next_double``.
+
+    The states come in rounds: the m-step map x -> a*x + c takes the m
+    states drawn so far to the next m, and composed with itself gives
+    the 2m-step map.
+    """
+    a, c = _PCG_MULT, _PCG_INC
+    x = _affine(_limbs(state), a, c)
+    while x.shape[1] < n:
+        x = np.concatenate((x, _affine(x, a, c)), axis=1)
+        a, c = a * a & _MASK128, (a * c + c) & _MASK128
+    x = x[:, :n]
+    hi, lo = x[3] << _LIMB | x[2], x[1] << _LIMB | x[0]
+    xor, rot = hi ^ lo, hi >> np.uint64(58)
+    out = xor >> rot | xor << (np.uint64(64) - rot & np.uint64(63))
+    last = sum(int(v) << 32 * j for j, v in enumerate(x[:, -1].tolist()))
+    return (out >> np.uint64(11)) * 2.0**-53, last
+
+
+def _fixed_uniform(low, high, shape):
+    """``np.random.default_rng(SAMPLE_SEED).uniform(low, high, shape)`` bit
+    for bit, without importing ``numpy.random``.
+
+    Every call starts the stream afresh; its unit doubles are drawn once
+    per process and extended on demand.
+    """
+    global _drawn
+    n = math.prod(shape)
+    state, units = _drawn
+    if units.size < n:
+        more, state = _pcg64_units(state, n - units.size)
+        units = np.concatenate((units, more))
+        # one assignment, so a concurrent caller sees a consistent pair
+        _drawn = state, units
+    # a multiply and an add, as NumPy's random_uniform does
+    return low + (high - low) * units[:n].reshape(shape)
 
 
 def _as_vectorized(f):
@@ -249,10 +325,11 @@ class InteractionStencil:
         return self._call(self._hessian, windows, self.offsets.shape[:1] * 2, "hessian")
 
     def _validate(self):
+        """Run the checks of the class docstring on 16 windows with entries
+        in [-2, 2), the fixed sample of :func:`_fixed_uniform`."""
         m = len(self.offsets)
-        rng = np.random.default_rng(SAMPLE_SEED)
         # 16 windows under two leading axes, as the 2-d sums stack them
-        w = rng.uniform(-2.0, 2.0, (4, 4, m))
+        w = _fixed_uniform(-2.0, 2.0, (4, 4, m))
         try:
             e, g, h = self.energy(w), self.gradient(w), self.hessian(w)
         except (IndexError, ValueError) as exc:
@@ -444,11 +521,12 @@ def estimate_constants(V, S, K, k=0.5):
     """Estimate the operating envelope for a potential/stencil pair.
 
     C1 and C2 are obtained by maximizing the local gradient entries and
-    the force Jacobian row sums over a deterministic pseudo-random sample
-    of windows with entries in [-(K+1)/2, (K+1)/2]; the sample seed is
-    fixed so repeated calls agree bit for bit. The trust radius combines
-    the curvature-drift recipe (half of k*c over a sampled Lipschitz bound
-    of V'') with half the minimal gap between distinct critical points, so
+    the force Jacobian row sums over a fixed sample of 256 windows with
+    entries in [-(K+1)/2, (K+1)/2): the first draws of NumPy's PCG64
+    stream seeded with SAMPLE_SEED, made by :func:`_fixed_uniform`, so
+    repeated calls agree bit for bit. The trust radius combines the
+    curvature-drift recipe (half of k*c over a sampled Lipschitz bound of
+    V'') with half the minimal gap between distinct critical points, so
     trust intervals of distinct wells never overlap.
     """
     if not 0.0 < k < 1.0:
@@ -465,9 +543,8 @@ def estimate_constants(V, S, K, k=0.5):
     wide_index = {tuple(o): i for i, o in enumerate(wide.tolist())}
     inner_index = {tuple(o): i for i, o in enumerate(inner.tolist())}
 
-    rng = np.random.default_rng(SAMPLE_SEED)
     lim = (K + 1.0) / 2.0
-    samples = rng.uniform(-lim, lim, size=(SAMPLE_WINDOWS, len(wide)))
+    samples = _fixed_uniform(-lim, lim, (SAMPLE_WINDOWS, len(wide)))
 
     def windows(j):
         """The sampled windows centred at offset j of the wide ball."""

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from lamlab import (Box, Configuration, InteractionStencil, ModelConstants,
                     builtin_harmonic_stencil, builtin_n_well,
                     estimate_constants, find_criticals, osc_bound,
                     potential_from_table)
+from lamlab import model
 from lamlab.lattice import ball_offsets
+from lamlab.model import SAMPLE_SEED, SAMPLE_WINDOWS
 
 TWO_PI = 2.0 * np.pi
 
@@ -399,6 +404,79 @@ def test_estimate_constants_seeded_and_deterministic(model1):
     again = estimate_constants(model1.potential, model1.stencil,
                                model1.constants.osc_bound_K)
     assert repr(again) == repr(model1.constants)
+
+
+# the shapes the library draws for the harmonic stencils of d = 1..9 and
+# range2_stencil: _validate's stack and estimate_constants' sample
+DRAWN_STENCILS = [(d, 1) for d in range(1, 10)] + [(1, 2), (2, 2)]
+DRAWN_SHAPES = [shape for d, r in DRAWN_STENCILS for shape in
+                ((4, 4, len(ball_offsets(d, r))),
+                 (SAMPLE_WINDOWS, len(ball_offsets(d, 2 * r))))]
+# _validate's bound 2 and estimate_constants' (K + 1)/2 for golden and
+# (sqrt 2 - 1, sqrt 3 - 1) rotations at both ranges, and K = 3 and 5.5
+DRAWN_LIMS = sorted({2.0, 3.25} | {
+    (osc_bound(omega, r) + 1.0) / 2.0 for r in (1, 2) for omega in
+    ([lamlab.GOLDEN_MEAN], [np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])})
+
+
+def test_fixed_sample_constants_are_numpys_seeded_pcg64():
+    bitgen = np.random.PCG64(SAMPLE_SEED)
+    assert bitgen.state["state"] == {"state": model._PCG_STATE,
+                                     "inc": model._PCG_INC}
+    bitgen.advance(1)
+    step = (model._PCG_STATE * model._PCG_MULT + model._PCG_INC) % 2**128
+    assert bitgen.state["state"]["state"] == step
+
+
+def test_fixed_sample_is_numpys_uniform_bit_for_bit(monkeypatch):
+    # from an empty memo, so the stream grows over several calls
+    monkeypatch.setattr(model, "_drawn", (model._PCG_STATE, np.empty(0)))
+    for shape in DRAWN_SHAPES:
+        for lim in DRAWN_LIMS:
+            want = np.random.default_rng(SAMPLE_SEED).uniform(-lim, lim, shape)
+            got = model._fixed_uniform(-lim, lim, shape)
+            assert got.shape == shape, (shape, lim)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                (shape, lim)
+
+
+def test_fixed_sample_is_right_when_threads_grow_it_at_once(monkeypatch):
+    # each thread draws every shape in its own order; a memo whose state
+    # and doubles went out of step would extend the stream wrongly
+    shapes = DRAWN_SHAPES[:12]
+    want = {s: np.random.default_rng(SAMPLE_SEED).uniform(-2.0, 2.0, s)
+            for s in shapes}
+    wrong = []
+
+    def draw(k):
+        for s in shapes[k:] + shapes[:k]:
+            if not np.array_equal(model._fixed_uniform(-2.0, 2.0, s), want[s]):
+                wrong.append(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(model, "_drawn",
+                                (model._PCG_STATE, np.empty(0)))
+            threads = [threading.Thread(target=draw, args=(k,))
+                       for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_fixed_sample_first_draws_are_pinned():
+    # IEEE bits of the first unit doubles, whatever NumPy's uniform becomes
+    u = model._fixed_uniform(0.0, 1.0, (4,))
+    assert [hex(b) for b in u.view(np.int64)] == [
+        "0x3fc1a7a70128bddc", "0x3fefafce41f5f646",
+        "0x3fcc7b42755cf1a0", "0x3fe428dba58ba0b9"]
 
 
 def test_constants_replace_and_dict(model1):

@@ -1,8 +1,12 @@
-"""The package's public surface: ``__all__``, README's entry points, and
-imports each module uses."""
+"""The package's public surface: ``__all__``, README's entry points, the
+imports each module uses, and the NumPy modules a run loads."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import lamlab
@@ -50,3 +54,49 @@ def test_modules_use_every_name_they_import():
               for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# builds a model, then runs one small spec per command that needs no
+# user-seeded draw; prints the numpy.random modules loaded by then that
+# importing NumPy alone (which loads them all before NumPy 2) did not load
+NO_RANDOM_RUN = """
+import json, sys
+from pathlib import Path
+import numpy
+numpy_only = set(sys.modules)
+import lamlab.cli
+from lamlab import (GOLDEN_MEAN, build_model, builtin_harmonic_stencil,
+                    builtin_n_well)
+build_model(builtin_n_well(2), builtin_harmonic_stencil(2),
+            omega=[GOLDEN_MEAN] * 2)
+tmp = Path(sys.argv[1])
+for command, spec in json.loads(sys.argv[2]).items():
+    path = tmp / (command + ".json")
+    path.write_text(json.dumps(spec))
+    rc = lamlab.cli.main([command, "--spec", str(path),
+                          "--out", str(tmp / command), "--threads", "1"])
+    assert rc == 0, (command, rc)
+print(json.dumps(sorted(m for m in set(sys.modules) - numpy_only
+                        if m.startswith("numpy.random"))))
+"""
+
+
+def test_model_build_and_commands_leave_numpy_random_unloaded(tmp_path):
+    # a fresh interpreter: the test run itself has loaded numpy.random
+    base = {"model": {}, "omega": "golden", "eps": "eps1/2", "p": [0.3, 0.7],
+            "window_radius": 8}
+    specs = {
+        "continue": base,
+        "lamination": dict(base, window_radius=4, n_samples=2),
+        "cantorus": dict(base, p=[0.5, 0.5], n_samples=2),
+        "measure": dict(base, n=4, injectivity={"spacing": 0.5}),
+        "sweep": {k: v for k, v in base.items() if k != "eps"}
+        | {"eps_values": ["eps1/2"], "window_radius": 4},
+    }
+    src = str(Path(lamlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_RANDOM_RUN, str(tmp_path), json.dumps(specs)],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == []
