@@ -831,25 +831,13 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _default_threads():
-    """Workers when --threads is not given: ``LAMLAB_THREADS``, else the
-    usable CPUs."""
-    raw = os.environ.get("LAMLAB_THREADS")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise SchemaError(f"LAMLAB_THREADS must be an integer, not {raw!r}")
-    return _usable_cpus()
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         threads = args.threads
         if threads is None:
-            threads = _default_threads()
+            threads = _usable_cpus()
         if threads < 1:
             raise SchemaError("threads must be at least 1")
         # more workers than CPUs cannot finish sooner

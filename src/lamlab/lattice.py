@@ -21,11 +21,13 @@ def ball_offsets(d, r):
     """
     if d < 1 or r < 0:
         raise ValueError("need d >= 1 and r >= 0")
-    rng = np.arange(-r, r + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    keep = np.abs(pts).sum(axis=1) <= r
-    return pts[keep]
+    # extend each prefix by the coordinates its remaining budget allows,
+    # so that only the ball is built, never the (2r + 1)^d cube
+    rows = [()]
+    for _ in range(d):
+        rows = [row + (k,) for row in rows
+                for b in (r - sum(map(abs, row)),) for k in range(-b, b + 1)]
+    return np.array(rows, dtype=int).reshape(-1, d)
 
 
 def l1_norms(sites):
@@ -168,10 +170,6 @@ class Configuration:
         x.domain = domain
         x.values = values
         return x
-
-    @property
-    def d(self):
-        return self.domain.d
 
     def box_values(self, box):
         """Values on a sub-box, as an array of that box's shape."""

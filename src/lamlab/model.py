@@ -22,7 +22,7 @@ Constants and their roles:
 """
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -484,7 +484,8 @@ def builtin_harmonic_stencil(d):
 @dataclass(repr=False)
 class ModelConstants:
     """Envelope constants governing continuation; see the module docstring.
-    Every field is stored as a float."""
+    Every field is stored as a float. The envelope is advisory: users may
+    tighten or loosen it deliberately with ``dataclasses.replace``."""
 
     c: float
     C1: float
@@ -498,11 +499,6 @@ class ModelConstants:
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, float(getattr(self, f.name)))
-
-    def replace(self, **kw):
-        """Copy with some fields overridden; the envelope is advisory and
-        users may tighten or loosen it deliberately."""
-        return replace(self, **kw)
 
     as_dict = asdict
 

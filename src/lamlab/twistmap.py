@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import CheckInconclusive
-from .hull import check_irrational, generic_parameter
+from .hull import check_irrational, generic_parameter, sample_config
 from .lattice import Box, Configuration
 
 
@@ -102,12 +102,8 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
     s = generic_parameter(label_hull, [w], line, s0)
 
     # one hull sample over the stretched window; member k's labels are its
-    # slice from site Bp.lo + k. sample_config at s_k = s + w*k would
-    # compute each argument as s_k + w*i, which differs from s + w*j only
-    # by rounding (about 1e-13), while generic_parameter keeps every
-    # s + w*j more than RESONANCE_TOL from a breakpoint: both read the
-    # same plateau, so the labels are the same bits
-    labels = label_hull.value(s + line.sites() @ np.asarray([w]))
+    # slice from site Bp.lo + k
+    labels = sample_config(label_hull, [w], s, line).values
     size = Bp.size
     at0 = -Bp.lo[0]
     x0s = np.empty(n_samples + 1)

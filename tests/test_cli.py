@@ -21,6 +21,7 @@ from lamlab import (cli, continuation, errors, measure, twistmap,
 from lamlab.cli import MAX_WINDOW_SITES, _Reprs, _SolutionTable, main
 from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
                                  continue_lamination)
+from test_continuation import flag_member_off_birkhoff
 
 # the top-level spec keys each command, and each mode of cantorus, takes,
 # as the README documents them; stated apart from the code that reads them
@@ -103,7 +104,6 @@ def pin_cpus(monkeypatch, n):
 
 
 def test_threading_does_not_change_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("LAMLAB_THREADS", raising=False)
     pin_cpus(monkeypatch, 3)
     spec = write_spec(tmp_path, "s.json",
                       dict(BASE, window_radius=6, n_samples=4))
@@ -113,11 +113,8 @@ def test_threading_does_not_change_bytes(tmp_path, monkeypatch):
     for name, extra in runs.items():
         assert main(["lamination", "--spec", spec,
                      "--out", str(tmp_path / name), *extra]) == 0
-    monkeypatch.setenv("LAMLAB_THREADS", "2")
-    assert main(["lamination", "--spec", spec,
-                 "--out", str(tmp_path / "env")]) == 0
     want = read_dir(tmp_path / "1")
-    for name in [*runs, "env"]:
+    for name in runs:
         assert read_dir(tmp_path / name) == want, name
     assert {"manifest.json", "ordering_matrix.csv", "summary.json",
             "member_000.csv", "member_003.csv"} <= set(want)
@@ -175,14 +172,11 @@ def test_worker_that_dies_silently_is_reported():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("setting", [{"argv": ["--threads", "5000"]},
-                                     {"env": "5000"}])
+# without --threads the worker count is the usable CPUs
+@pytest.mark.parametrize("setting", [{"argv": ["--threads", "5000"]}, {}])
 def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch,
                                                setting):
     # records the worker count instead of forking: nothing is started
-    monkeypatch.delenv("LAMLAB_THREADS", raising=False)
-    if "env" in setting:
-        monkeypatch.setenv("LAMLAB_THREADS", setting["env"])
     pin_cpus(monkeypatch, 2)
     asked = []
 
@@ -198,21 +192,29 @@ def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch,
     assert asked == [2]
 
 
-@pytest.mark.parametrize("value,message", [
-    ("abc", "LAMLAB_THREADS must be an integer, not 'abc'"),
-    ("0", "threads must be at least 1"),
-])
-def test_bad_threads_variable_exits_1(tmp_path, capsys, monkeypatch, value,
-                                      message):
-    monkeypatch.setenv("LAMLAB_THREADS", value)
+def test_zero_threads_exit_1_before_any_run_directory(tmp_path, capsys):
     out = tmp_path / "o"
-    err = exits_with_one_line(
-        capsys, ["continue", "--spec", write_spec(tmp_path, "s.json", BASE),
-                 "--out", str(out)], 1)
-    assert err == f"error: {message}\n"
+    spec = write_spec(tmp_path, "s.json", BASE)
+    for argv in (["continue", "--spec", spec, "--out", str(out)], ["verify"]):
+        err = exits_with_one_line(capsys, [*argv, "--threads", "0"], 1)
+        assert err == "error: threads must be at least 1\n"
     assert not out.exists()
-    err = exits_with_one_line(capsys, ["verify"], 1)
-    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_threads_variable_is_not_read(tmp_path, monkeypatch, value):
+    spec = write_spec(tmp_path, "s.json", BASE)
+
+    def run(name):
+        out = tmp_path / name
+        assert main(["continue", "--spec", spec, "--out", str(out / "c")]) == 0
+        assert main(["verify", "--out", str(out / "v")]) == 0
+        return read_dir(out / "c"), read_dir(out / "v")
+
+    plain = run("plain")
+    monkeypatch.setenv("LAMLAB_THREADS", value)
+    assert run("set") == plain
+    assert "verify.json" in plain[1]
 
 
 def test_schema_problems_exit_1(tmp_path):
@@ -379,6 +381,39 @@ def test_cantorus_cli(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["invariance_error"] <= 1e-8
     assert len((out / "cantorus.csv").read_text().splitlines()) == 9
+
+
+def test_cantorus_on_the_criticals(tmp_path):
+    # half the plateaus sit at the maximum 0.5 of the one-well background
+    spec = write_spec(tmp_path, "c.json", {
+        "model": {"potential": {"kind": "n_well", "N": 1}},
+        "omega": "golden", "eps": "eps1/2", "wells": "criticals",
+        "n_samples": 20,
+    })
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["cantorus", "--spec", spec, "--out", str(a)]) == 0
+    summary = json.loads((a / "summary.json").read_text())
+    assert summary["invariance_error"] <= 1e-8
+    delta0 = json.loads((a / "manifest.json").read_text())[
+        "constants"]["delta0"]
+    x0 = np.array([float(row.split(",")[1]) for row in
+                   (a / "cantorus.csv").read_text().splitlines()[1:]])
+    assert x0.size == 20
+    assert np.any(np.abs(x0 - 0.5) <= delta0)
+    assert main(["cantorus", "--spec", spec, "--out", str(b)]) == 0
+    assert read_dir(a) == read_dir(b)
+
+
+def test_momentum_labels_of_the_wrong_length_exit_1(tmp_path, capsys):
+    # the default window radius 32 pads to 67 sites
+    body = {k: v for k, v in MOMENTUM.items()
+            if k not in ("window_radius", "coin_flip")}
+    spec = write_spec(tmp_path, "m.json", dict(body, labels=[0.0] * 66))
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, ["cantorus", "--spec", spec, "--out", str(out)], 1)
+    assert err == "error: labels must be a list of 67 values\n"
+    assert not out.exists()
 
 
 CANTORUS = {
@@ -571,6 +606,27 @@ def test_measure_cli(tmp_path):
     lines = (out / "density.csv").read_text().splitlines()
     assert lines[0] == "n,p1,p2"
     assert len(lines) == 4
+
+
+def test_measure_without_n_or_window_radius_uses_the_default_ball(tmp_path):
+    body = {k: v for k, v in BASE.items() if k != "window_radius"}
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", write_spec(tmp_path, "m.json", body),
+                 "--out", str(out)]) == 0
+    parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert parameters["n"] == 377 and parameters["window_radius"] == 377
+
+
+def test_lamination_member_off_birkhoff_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    flag_member_off_birkhoff(monkeypatch, 2, ((1,), 0, (0,), (1,)))
+    spec = write_spec(tmp_path, "s.json",
+                      dict(BASE, window_radius=6, n_samples=4))
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, ["lamination", "--spec", spec, "--out", str(out)], 2)
+    assert err == "error: lamination member 2 crosses its translate\n"
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("inj,points", [

@@ -1,6 +1,6 @@
 """Continuation, window energies, defects, and lamination assembly."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,8 @@ from lamlab import (
     LamlabError,
     Model,
     NoConvergence,
+    NotBirkhoff,
+    OrderVerdict,
     action,
     build_model,
     builtin_harmonic_stencil,
@@ -147,7 +149,7 @@ def test_contraction_escape_with_tiny_trust_radius(model1, golden):
     window = Box.centered(5, 1)
     x0 = hull_start(model1, golden, [0.5, 0.5], window.padded(1))
     tight = Model(model1.potential, model1.stencil,
-                  model1.constants.replace(delta0=1e-9))
+                  replace(model1.constants, delta0=1e-9))
     with pytest.raises(ContractionEscape):
         quasi_newton_continue(tight, model1.constants.eps1 / 2.0, x0, window)
 
@@ -307,6 +309,34 @@ def test_crossing_members_break_the_lamination(model1, golden, monkeypatch):
     assert str(info.value) == "members 0 and 1 cross"
     assert info.value.witness == (0, 1, (-11,))
     assert len(results) == 6
+
+
+def flag_member_off_birkhoff(monkeypatch, member, violation):
+    """Make the Birkhoff scan report ``violation`` for one member only;
+    returns the list of the members scanned so far."""
+    real, seen = continuation.check_birkhoff, []
+
+    def scan(x, k_max):
+        seen.append(x)
+        if len(seen) == member + 1:
+            return OrderVerdict(False, violation)
+        return real(x, k_max)
+
+    monkeypatch.setattr(continuation, "check_birkhoff", scan)
+    return seen
+
+
+def test_member_off_birkhoff_is_named_with_its_violation(model1, golden,
+                                                         monkeypatch):
+    violation = ((1,), 0, (0,), (1,))
+    seen = flag_member_off_birkhoff(monkeypatch, 2, violation)
+    eps = model1.constants.eps1 / 2.0
+    window = Box.centered(10, 1)
+    with pytest.raises(NotBirkhoff) as info:
+        continue_lamination(model1, eps, [0.3, 0.7], golden, window, 6)
+    assert str(info.value) == "lamination member 2 crosses its translate"
+    assert info.value.witness == (2, violation)
+    assert len(seen) == 3
 
 
 def test_maximum_labels_break_order(model1, golden):
@@ -663,7 +693,7 @@ def test_continuation_equals_the_reference_bit_for_bit(name):
     # every refusal keeps its type and its message
     eps = eps1 / 2.0
     tight = Model(model.potential, model.stencil,
-                  model.constants.replace(delta0=1e-6))
+                  replace(model.constants, delta0=1e-6))
     off = Configuration(x0.domain, x0.values + 0.07)
     cases = [
         (model, eps, x0, window, {"tol": 1e-30}),

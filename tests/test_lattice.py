@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,18 +8,33 @@ from lamlab import Box, Configuration, ball_offsets, l1_norms
 
 
 def brute_ball(d, r):
-    # independent enumeration: all points of the cube with L1 norm <= r
-    pts = [p for p in np.ndindex(*([2 * r + 1] * d))]
-    pts = np.asarray(pts) - r
-    return pts[np.sum(np.abs(pts), axis=1) <= r]
+    # independent enumeration: the points of the whole cube, in
+    # lexicographic order, with L1 norm <= r
+    rng = np.arange(-r, r + 1)
+    grids = np.meshgrid(*([rng] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return pts[np.abs(pts).sum(axis=1) <= r]
 
 
-@pytest.mark.parametrize("d,r", [(1, 0), (1, 3), (2, 1), (2, 4), (3, 2)])
+@pytest.mark.parametrize("d,r", list(itertools.product(range(1, 7),
+                                                       range(5))))
 def test_ball_offsets_match_brute_enumeration(d, r):
     got = ball_offsets(d, r)
     want = brute_ball(d, r)
-    assert got.shape == want.shape
-    assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_ball_offsets_never_build_the_cube():
+    # the 9-D cube of side 5 alone would take 141 MB
+    tracemalloc.start()
+    try:
+        got = ball_offsets(9, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (181, 9)
+    assert peak < 2**18
 
 
 def test_ball_offsets_lexicographic_and_l1_norms():

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,11 +408,13 @@ def test_estimate_constants_seeded_and_deterministic(model1):
 
 
 # the shapes the library draws for the harmonic stencils of d = 1..9 and
-# range2_stencil: _validate's stack and estimate_constants' sample
+# range2_stencil: _validate's stack and estimate_constants' sample, then
+# the verification suite's check_stencil_signs sample
 DRAWN_STENCILS = [(d, 1) for d in range(1, 10)] + [(1, 2), (2, 2)]
 DRAWN_SHAPES = [shape for d, r in DRAWN_STENCILS for shape in
                 ((4, 4, len(ball_offsets(d, r))),
-                 (SAMPLE_WINDOWS, len(ball_offsets(d, 2 * r))))]
+                 (SAMPLE_WINDOWS, len(ball_offsets(d, 2 * r))))] + [
+    (32, len(ball_offsets(d, 1))) for d in range(1, 10)]
 # _validate's bound 2 and estimate_constants' (K + 1)/2 for golden and
 # (sqrt 2 - 1, sqrt 3 - 1) rotations at both ranges, and K = 3 and 5.5
 DRAWN_LIMS = sorted({2.0, 3.25} | {
@@ -481,10 +484,10 @@ def test_fixed_sample_first_draws_are_pinned():
 
 def test_constants_replace_and_dict(model1):
     cst = model1.constants
-    tweaked = cst.replace(delta0=1e-3)
+    tweaked = replace(cst, delta0=1e-3)
     assert tweaked.delta0 == 1e-3 and tweaked.C2 == cst.C2
     # every field is stored as a float, so manifests write 10.0
-    assert repr(cst.replace(eps0=10).as_dict()["eps0"]) == "10.0"
+    assert repr(replace(cst, eps0=10).as_dict()["eps0"]) == "10.0"
     assert repr(ModelConstants(1, 2, 3, 4, 5, 6, 7, 8).C1) == "2.0"
     d = cst.as_dict()
     assert set(d) == {"c", "C1", "C2", "delta0", "eps0", "eps1",

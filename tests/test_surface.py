@@ -1,5 +1,6 @@
 """The package's public surface: ``__all__``, README's entry points, the
-imports each module uses, and the NumPy modules a run loads."""
+imports each module uses, the environment no module reads, and the NumPy
+modules a run loads."""
 
 import ast
 import json
@@ -54,6 +55,37 @@ def test_modules_use_every_name_they_import():
               for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source):
+    """Lines of a module that read the process environment through
+    ``os``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_reads_are_found():
+    source = ("import os\nfrom os import getenv\nos.environ.get('A')\n"
+              "os.getenv('B')\nos.environb\nos.path.join('c')\n")
+    assert environment_reads(source) == [2, 3, 4, 5]
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the command line or the spec
+    package = Path(lamlab.__file__).parent
+    reads = {path.name: environment_reads(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 # builds a model, then runs one small spec per command that needs no

@@ -1,5 +1,7 @@
 """Twist map identities and projections of continued solutions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def test_extract_cantorus_raises_first_failing_member(model1, golden):
                                    window.padded(1)), window).displacement
         for j in range(13)]
     tight = Model(model1.potential, model1.stencil,
-                  model1.constants.replace(delta0=0.75 * max(disps)))
+                  replace(model1.constants, delta0=0.75 * max(disps)))
     k, want = first_member_failure(tight, eps, phi, golden, window, 12, s)
     assert isinstance(want, ContractionEscape) and k > 0
     with pytest.raises(ContractionEscape) as caught:
