@@ -123,8 +123,8 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
 
 
 def _check_labels(potential, values, require_minima=False):
-    # distance mod 1 from every distinct value to every critical point;
-    # NaN != NaN, so every NaN is kept and still poisons the verdict
+    # distance mod 1 from every distinct value to every critical point; NaN
+    # and ±inf give a NaN worst offset, which passes: Configuration refuses them
     values = np.sort(np.mod(values, 1.0), axis=None)
     keep = np.ones(values.size, bool)
     keep[1:] = values[1:] != values[:-1]

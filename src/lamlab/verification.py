@@ -57,10 +57,10 @@ def check_constants_envelope(model, tol=1e-12):
     return ok, f"re-estimate drift {drift:.2e}, eps0 {cst.eps0:.3g}, eps1 {cst.eps1:.3g}"
 
 
-def check_stencil_signs(model, tol=1e-12, trials=32):
+def check_stencil_signs(model, tol=1e-12):
     S = model.stencil
     m = len(S.offsets)
-    h = S.hessian(_fixed_uniform(-2.0, 2.0, (trials, m)))
+    h = S.hessian(_fixed_uniform(-2.0, 2.0, (32, m)))
     worst_off = float(np.max(np.where(np.eye(m, dtype=bool), 0.0, h)))
     worst_unit = float(np.max(h[:, S.center, S.unit_indices]))
     ok = worst_off <= tol and worst_unit < 0.0
@@ -104,7 +104,7 @@ def check_gradient_consistency(model, tol=1e-5, seed=0):
     return ok, f"max |finite difference - gradient| {worst:.2e}"
 
 
-def check_min_max(model, tol=1e-10, trials=100, seed=0):
+def check_min_max(model, tol=1e-10, seed=0):
     rng = np.random.default_rng(seed)
     r = model.stencil.range
     d = model.stencil.d
@@ -113,7 +113,7 @@ def check_min_max(model, tol=1e-10, trials=100, seed=0):
     eps = model.constants.eps1 / 2.0
     lim = (model.constants.osc_bound_K + 1.0) / 2.0
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(100):
         x = Configuration(Bp, rng.uniform(-lim, lim, Bp.size))
         y = Configuration(Bp, rng.uniform(-lim, lim, Bp.size))
         out = check_minmax_inequality(model, eps, B, x, y, tol=tol)
@@ -124,16 +124,16 @@ def check_min_max(model, tol=1e-10, trials=100, seed=0):
         ordered = check_minmax_inequality(model, eps, B, lo, hi, tol=tol)
         if ordered["gap"] != 0.0:
             return False, f"ordered pair gave nonzero gap {ordered['gap']:.3e}"
-    return True, f"{trials} pairs, smallest gap {worst:.3e}"
+    return True, f"100 pairs, smallest gap {worst:.3e}"
 
 
-def check_comparison(model, tol=1e-8, trials=3, seed=0):
+def check_comparison(model, tol=1e-8, seed=0):
     rng = np.random.default_rng(seed)
     r = model.stencil.range
     d = model.stencil.d
     B = Box.centered(6 * r + 2, d)
     eps = model.constants.eps1 / 2.0
-    for t in range(trials):
+    for t in range(3):
         labels, _ = _sampled_labels(model, rng, B)
         res = quasi_newton_continue(model, eps, labels, B, tol=1e-13)
         lifted = translate(res.solution, np.zeros(d, dtype=int), 1)
@@ -141,10 +141,10 @@ def check_comparison(model, tol=1e-8, trials=3, seed=0):
                                          tol=tol)
         if out["verdict"] != "strictly-less":
             return False, f"trial {t}: verdict {out['verdict']}"
-    return True, f"{trials} continued pairs strictly ordered"
+    return True, "3 continued pairs strictly ordered"
 
 
-def check_subadditivity(model, tol=1e-9, trials=20, seed=0):
+def check_subadditivity(model, tol=1e-9, seed=0):
     rng = np.random.default_rng(seed)
     r = model.stencil.range
     d = model.stencil.d
@@ -152,7 +152,7 @@ def check_subadditivity(model, tol=1e-9, trials=20, seed=0):
     Bp = B.padded(r)
     eps = model.constants.eps1 / 2.0
     delta0 = model.constants.delta0
-    for t in range(trials):
+    for t in range(20):
         base, _ = _sampled_labels(model, rng, B)
         z = Configuration(Bp, base.values
                           + rng.uniform(-0.4 * delta0, 0.4 * delta0, Bp.shape))
@@ -164,14 +164,14 @@ def check_subadditivity(model, tol=1e-9, trials=20, seed=0):
         if not out["holds"]:
             return False, (f"trial {t}: whole {out['lhs']:.3e} "
                            f"> parts {out['rhs']:.3e}")
-    return True, f"{trials} partitions subadditive"
+    return True, "20 partitions subadditive"
 
 
-def check_hull_axioms(model, tol=1e-9, trials=1000, seed=0):
+def check_hull_axioms(model, tol=1e-9, seed=0):
     rng = np.random.default_rng(seed)
     minima = model.potential.minima
     window = Box.centered(8, 1)
-    for t in range(trials // 50):
+    for t in range(20):
         p = _random_simplex(rng, minima.size)
         phi = step_hull_from_simplex(p, minima)
         s = rng.uniform(0.0, 1.0, 50)
@@ -193,13 +193,13 @@ def check_hull_axioms(model, tol=1e-9, trials=1000, seed=0):
         direct = translate(x, k, l).restrict(window)
         if np.max(np.abs(shifted.values - direct.values)) > tol:
             return False, f"translate covariance defect at sample {t}"
-    return True, f"{trials} randomized hull samples pass"
+    return True, "1000 randomized hull samples pass"
 
 
-def check_measure_round_trip(model, tol=0.0, trials=50, seed=0):
+def check_measure_round_trip(model, tol=0.0, seed=0):
     rng = np.random.default_rng(seed)
     minima = model.potential.minima
-    for t in range(trials):
+    for t in range(50):
         p = _random_simplex(rng, minima.size)
         mu = measure_from_hull(step_hull_from_simplex(p, minima))
         back = np.asarray([mu.mass_at(sig) for sig in minima])
@@ -207,7 +207,7 @@ def check_measure_round_trip(model, tol=0.0, trials=50, seed=0):
             return False, f"trial {t}: mass drift {np.max(np.abs(back - p)):.3e}"
         if vague_distance(mu, mu) != 0.0:
             return False, "self distance nonzero"
-    return True, f"{trials} simplex points recovered exactly"
+    return True, "50 simplex points recovered exactly"
 
 
 CHECKS = [

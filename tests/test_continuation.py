@@ -709,6 +709,14 @@ def test_continuation_equals_the_reference_bit_for_bit(name):
         got = outcome(quasi_newton_continue, m, e, x, B, **kw)
         assert got == outcome(reference_continue, m, e, x, B, **kw)
         assert got[0] is want_type
+    # a non-finite label passes _check_labels (its worst offset reads NaN):
+    # only Configuration's finiteness check keeps it out
+    for bad in (np.nan, np.inf, -np.inf):
+        x = Configuration(x0.domain, x0.values)
+        x.values.flat[x.values.size // 2] = bad
+        got = outcome(quasi_newton_continue, model, eps, x, window)
+        assert got == outcome(reference_continue, model, eps, x, window)
+        assert got == (ValueError, "configuration values must be finite")
 
 
 def test_one_continuation_makes_one_force_call_per_residual(monkeypatch,

@@ -1,8 +1,9 @@
-"""The package's public surface: ``__all__``, README's entry points, the
-imports each module uses, the environment no module reads, and the NumPy
-modules a run loads."""
+"""The package's public surface: ``__all__``, the layers each name loads,
+README's entry points, the imports each module uses, the environment no
+module reads, and the NumPy modules a run loads."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -10,15 +11,84 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lamlab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = str(Path(lamlab.__file__).resolve().parent.parent)
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    lamlab; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_every_exported_name_resolves_once():
-    assert len(lamlab.__all__) == len(set(lamlab.__all__))
+    table = [name for names in lamlab._EXPORTS.values() for name in names]
+    assert len(table) == len(set(table))
+    assert sorted(table) == lamlab.__all__
     missing = [name for name in lamlab.__all__ if not hasattr(lamlab, name)]
     assert missing == []
+
+
+def test_every_name_is_the_object_of_its_home_layer():
+    for layer, names in lamlab._EXPORTS.items():
+        home = importlib.import_module(f"lamlab.{layer}")
+        for name in names:
+            value = getattr(lamlab, name)
+            assert value is getattr(home, name), name
+            # the table names the defining layer, not one that imports it
+            assert getattr(value, "__module__", home.__name__) == \
+                home.__name__, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from lamlab import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    assert sorted(bound) == sorted(lamlab.__all__)
+    assert set(lamlab.__all__) <= set(dir(lamlab))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError,
+                       match="^module 'lamlab' has no attribute 'x'$"):
+        lamlab.x
+
+
+# prints the lamlab submodules and NumPy modules loaded after argv[1] runs
+LOADED = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("lamlab.", "numpy")))))
+"""
+
+
+def test_import_lamlab_loads_no_layer_and_no_numpy():
+    assert json.loads(fresh_python(LOADED, "import lamlab")) == []
+
+
+def test_model_names_load_only_their_layers():
+    # a caller that only builds a model compiles three modules, not ten
+    code = ("from lamlab import build_model, builtin_harmonic_stencil, "
+            "builtin_n_well")
+    loaded = json.loads(fresh_python(LOADED, code))
+    assert [m for m in loaded if m.startswith("lamlab.")] == [
+        "lamlab.errors", "lamlab.lattice", "lamlab.model"]
+
+
+def test_a_layer_resolves_after_a_bare_import():
+    code = ("import lamlab\n"
+            "layer = lamlab.continuation\n"
+            "assert layer.action is lamlab.action\n"
+            "print(layer.__name__)")
+    assert fresh_python(code).split() == ["lamlab.continuation"]
 
 
 def test_readme_entry_points_are_exported():
@@ -49,11 +119,9 @@ def test_unused_imports_are_found():
 
 
 def test_modules_use_every_name_they_import():
-    # __init__ imports names to export them
     package = Path(lamlab.__file__).parent
     unused = {path.name: unused_imports(path.read_text())
-              for path in sorted(package.glob("*.py"))
-              if path.name != "__init__.py"}
+              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
@@ -125,10 +193,5 @@ def test_model_build_and_commands_leave_numpy_random_unloaded(tmp_path):
         "sweep": {k: v for k, v in base.items() if k != "eps"}
         | {"eps_values": ["eps1/2"], "window_radius": 4},
     }
-    src = str(Path(lamlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-c", NO_RANDOM_RUN, str(tmp_path), json.dumps(specs)],
-        env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == []
+    out = fresh_python(NO_RANDOM_RUN, str(tmp_path), json.dumps(specs))
+    assert json.loads(out.splitlines()[-1]) == []
