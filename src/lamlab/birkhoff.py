@@ -25,12 +25,9 @@ def translate(x, k, l):
     """The translate tau_{k,l} x, defined on the shifted domain.
 
     (tau_{k,l} x)_i = x_{i+k} + l, so the value array is reused and the
-    domain moves by -k.
+    domain moves by -k; k is a shift of ``Box.shift``.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    if k.size != x.domain.d:
-        raise ValueError("shift dimension mismatch")
-    return Configuration(x.domain.shift(-k), x.values + float(l))
+    return Configuration(x.domain.shift(np.negative(k)), x.values + float(l))
 
 
 @dataclass

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import (continue_lamination, quasi_newton_continue,
-                           residual_field, scan_birkhoff,
-                           truncation_consistency)
+from .continuation import (SCAN_MARGIN, continue_lamination,
+                           quasi_newton_continue, residual_field,
+                           scan_birkhoff, truncation_consistency)
 from .errors import (CheckInconclusive, ContinuationRefused,
                      ContractionEscape, LaminationBroken, LamlabError,
                      NoConvergence, NotBirkhoff, SchemaError,
@@ -32,8 +32,8 @@ from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
 from .lattice import Box
 from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
                       injectivity_pairs, psi_epsilon_grid)
-from .model import (InteractionStencil, build_model, builtin_harmonic_stencil,
-                    builtin_n_well, potential_from_table)
+from .model import (build_model, builtin_harmonic_stencil, builtin_n_well,
+                    potential_from_table)
 from .twistmap import chaotic_momentum_orbit, extract_cantorus
 from .verification import CHECKS, run_suite
 
@@ -188,19 +188,7 @@ def _model_parts(spec):
         raise SchemaError(f"stencil dimension d {d} needs 7**{d} sites in its "
                           f"smallest window; at most {MAX_WINDOW_SITES} are "
                           f"allowed, so d is at most {MAX_DIMENSION}")
-    flip_sign = sspec.get("flip_sign", False)
-    if not isinstance(flip_sign, bool):
-        raise SchemaError("stencil flip_sign must be true or false")
     stencil = builtin_harmonic_stencil(d)
-    if flip_sign:
-        base = stencil
-        stencil = InteractionStencil(
-            d, 1,
-            lambda w: -base.energy(w),
-            lambda w: -base.gradient(w),
-            lambda w: -base.hessian(w),
-            validate=False,
-        )
     K = mspec.get("K")
     K = None if K is None else _finite(K, "model.K")
     return potential, stencil, K, _finite(mspec.get("k", 0.5), "model.k")
@@ -269,12 +257,25 @@ def _decimal(count):
 
 def _parse_window(spec, stencil, default=None, source="window_radius"):
     """The window of the spec's window_radius or, if it has none, of the
-    radius ``default``, which messages credit to the key ``source``."""
-    radius = _integer(spec.get("window_radius", default), source,
+    radius ``default``, which messages credit to the key ``source``; with
+    no default, window_radius is required."""
+    radius = _integer(spec["window_radius"] if default is None else
+                      spec.get("window_radius", default), source,
                       stencil.range + 1)
     _within_cap((2 * (radius + stencil.range) + 1) ** stencil.d,
                 f"{source} {radius}", "sites with its collar")
     return Box.centered(radius, stencil.d)
+
+
+def _parse_k_max(spec, radius, r):
+    """The scan depth k_max of a window that holds the Birkhoff scan: a
+    site SCAN_MARGIN * r from its edge, and two if k_max > 0."""
+    k_max = _integer(spec.get("k_max", 2), "k_max", 0)
+    least = SCAN_MARGIN * r + (k_max > 0)
+    if radius < least:
+        raise SchemaError(f"window_radius {radius} is too small for the Birkhoff"
+                          f" scan: with k_max {k_max} it must be at least {least}")
+    return k_max
 
 
 def _parse_weights(p, n):
@@ -314,7 +315,7 @@ def _setup(spec, coupling="eps", radius=None, source="window_radius"):
 def _hull_start(spec, model, omega, window, s):
     """Weights p, step hull, parameter s and sampled labels of a run that
     continues one hull sample; s is generic unless it is given."""
-    p = _parse_weights(spec.get("p"), model.potential.minima.size)
+    p = _parse_weights(spec["p"], model.potential.minima.size)
     phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
     s = generic_parameter(phi, omega, Bp, 0.5) if s is None else _finite(s, "s")
@@ -492,7 +493,7 @@ class _SolutionTable:
 def cmd_continue(spec, out, seed, threads, tol):
     model, omega, eps, window, effective = _setup(spec)
     p, phi, s, x0 = _hull_start(spec, model, omega, window, spec.get("s"))
-    k_max = _integer(spec.get("k_max", 2), "k_max", 0)
+    k_max = _parse_k_max(spec, window.hi[0], model.stencil.range)
     M1, M2 = spec.get("M1"), spec.get("M2")
     probe = M1 is not None or M2 is not None
     if probe:
@@ -530,11 +531,11 @@ def cmd_continue(spec, out, seed, threads, tol):
 
 def cmd_lamination(spec, out, seed, threads, tol):
     model, omega, eps, window, effective = _setup(spec)
-    p = _parse_weights(spec.get("p"), model.potential.minima.size)
-    n_samples = _integer(spec.get("n_samples"), "n_samples", 1)
+    p = _parse_weights(spec["p"], model.potential.minima.size)
+    n_samples = _integer(spec["n_samples"], "n_samples", 1)
     _within_cap(n_samples * window.padded(model.stencil.range).size,
                 f"n_samples {n_samples}", "sites over its members")
-    k_max = _integer(spec.get("k_max", 2), "k_max", 0)
+    k_max = _parse_k_max(spec, window.hi[0], model.stencil.range)
     effective.update(p=p, n_samples=n_samples, k_max=k_max)
     _manifest(spec, out, effective, model, seed, tol)
 
@@ -583,7 +584,7 @@ def cmd_measure(spec, out, seed, threads, tol):
         raise SchemaError(f"n must be at most window_radius + {r}, the "
                           "radius the continued configuration covers")
     sig_n = model.potential.minima.size
-    p = _parse_weights(spec.get("p"), sig_n)
+    p = _parse_weights(spec["p"], sig_n)
     inj = spec.get("injectivity")
     if inj is not None:
         ispec = spec.object("injectivity", "injectivity")

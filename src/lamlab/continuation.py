@@ -32,6 +32,8 @@ from .lattice import Box, Configuration
 
 MAX_ITER = 200
 LABEL_TOL = 1e-9
+# the Birkhoff scan keeps this many stencil ranges off a window's edge
+SCAN_MARGIN = 3
 
 
 def action(model, eps, B, x):
@@ -177,11 +179,11 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
 
 def scan_birkhoff(model, window, solutions, k_max):
     """Birkhoff verdicts, one at a time, of solutions continued over
-    ``window``, read on its interior at range 3r: values within 2r of the
-    frozen collar are kept out, since the collar suppresses their
-    relaxation at eps^2 scale with a pattern-dependent sign, which fakes
-    crossings at tie translates."""
-    scan = window.interior(3 * model.stencil.range)
+    ``window``, read on its interior at range SCAN_MARGIN * r = 3r:
+    values within 2r of the frozen collar are kept out, since the collar
+    suppresses their relaxation at eps^2 scale with a pattern-dependent
+    sign, which fakes crossings at tie translates."""
+    scan = window.interior(SCAN_MARGIN * model.stencil.range)
     for x in solutions:
         yield check_birkhoff(x.restrict(scan), k_max)
 

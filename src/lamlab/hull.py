@@ -132,41 +132,36 @@ class HullFunction:
         pulled back onto it, so a parameter that should hit a plateau end
         exactly but drifted by float error still reads the plateau value.
         """
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
+        k, u = self._periods(s)
         bp, vals = self.breakpoints, self.values
-        tM = bp[-1]
-        k = np.ceil(s - tM)
-        u = s - k
-        # u lies in (tM - 1, tM]; just above the lower end means s sits a
-        # hair above the top breakpoint of the previous period
-        wrap = (u - (tM - 1.0)) <= BREAKPOINT_SNAP
+        # just above the lower end of (t_M - 1, t_M], s sits a hair above
+        # the top breakpoint of the previous period
+        wrap = (u - (bp[-1] - 1.0)) <= BREAKPOINT_SNAP
         idx = np.searchsorted(bp, u - BREAKPOINT_SNAP, side="left")
         out = np.where(wrap, vals[-1] + k - 1.0, vals[np.minimum(idx, bp.size - 1)] + k)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def value_upper(self, s):
         """The right-continuous companion phi+(s) = lim_{t -> s+} phi(t)."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
+        k, u = self._periods(s)
         bp, vals = self.breakpoints, self.values
-        tM = bp[-1]
-        k = np.ceil(s - tM)
-        u = s - k
         idx = np.searchsorted(bp, u + BREAKPOINT_SNAP, side="right")
         k = k + (idx == bp.size)
         idx = np.where(idx == bp.size, 0, idx)
         out = vals[idx] + k
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(s) == 0 else out
+
+    def _periods(self, s):
+        """s = k + u as 1-d arrays, k an integer and u in (t_M - 1, t_M]."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        k = np.ceil(s - self.breakpoints[-1])
+        return k, s - k
 
     def plateau_measures(self):
         """Pairs (value, length); the first plateau wraps below t_1."""
         bp, vals = self.breakpoints, self.values
-        if self.plateau_lengths is not None:
-            lengths = self.plateau_lengths
-        else:
+        lengths = self.plateau_lengths
+        if lengths is None:
             lengths = np.diff(np.concatenate([[bp[-1] - 1.0], bp]))
         return list(zip(vals.tolist(), lengths.tolist()))
 
@@ -183,11 +178,11 @@ def normalize_simplex(p, n=None):
     if p.ndim != 1 or (n is not None and p.size != n):
         raise ValueError("simplex point has the wrong shape")
     if np.min(p) < -1e-12:
-        raise ValueError(f"simplex entries must be nonnegative, got {np.min(p)!r}")
+        raise ValueError(f"simplex entries must be nonnegative, got {float(np.min(p))!r}")
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"simplex entries sum to {total!r}, expected 1")
+        raise ValueError(f"simplex entries sum to {float(total)!r}, expected 1")
     # rescaling perturbs every entry by an ulp, so keep near-exact inputs
     # untouched and masses round-trip bit for bit
     if abs(total - 1.0) > 1e-12:

@@ -8,10 +8,22 @@ stored on the full padded box that covers the collar the energy reads;
 corner sites the energy never touches are simply carried along.
 """
 
+from operator import index
+
 import numpy as np
 
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _integers(v):
+    """An integer or a 1-d vector of them as a tuple of ints, entry by
+    entry through ``operator.index``; None for floats, 2-d arrays and the
+    rest, which are never rounded or flattened."""
+    try:
+        return tuple(map(index, v)) if hasattr(v, "__iter__") else (index(v),)
+    except TypeError:
+        return None
 
 
 def ball_offsets(d, r):
@@ -39,24 +51,13 @@ class Box:
     """Axis-aligned box of lattice sites with inclusive corners."""
 
     def __init__(self, lo, hi):
-        # tuples of Python ints, as the box methods build them, skip NumPy,
-        # which continuation would pay for twice per call; they are held to
-        # the int64 range that NumPy's conversion enforces on the rest
-        corners = lo + hi if type(lo) is tuple and type(hi) is tuple else None
-        if corners and all(type(a) is int for a in corners):
-            if min(corners) < _INT64.min or max(corners) > _INT64.max:
-                raise OverflowError("box corners must fit in 64-bit integers")
-        else:
-            lo = np.atleast_1d(np.asarray(lo, dtype=int))
-            hi = np.atleast_1d(np.asarray(hi, dtype=int))
-            if lo.ndim != 1 or hi.ndim != 1:
-                raise ValueError(
-                    "lo and hi must be integer vectors of equal length")
-            lo = tuple(int(a) for a in lo)
-            hi = tuple(int(a) for a in hi)
-        if len(lo) != len(hi):
+        lo, hi = _integers(lo), _integers(hi)
+        if lo is None or hi is None or len(lo) != len(hi):
             raise ValueError("lo and hi must be integer vectors of equal length")
         for a, b in zip(lo, hi):
+            if not (_INT64_MIN <= a <= _INT64_MAX
+                    and _INT64_MIN <= b <= _INT64_MAX):
+                raise OverflowError("box corners must fit in 64-bit integers")
             if b < a:
                 raise ValueError(
                     "box corners must satisfy lo <= hi componentwise")
@@ -66,9 +67,7 @@ class Box:
 
     @classmethod
     def centered(cls, radius, d=1):
-        """The box [-radius, radius]^d."""
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        """The box [-radius, radius]^d (a negative radius has lo > hi)."""
         return cls((-radius,) * d, (radius,) * d)
 
     @property
@@ -85,9 +84,17 @@ class Box:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
+    def _vector(self, v):
+        """A site or shift of this box, by the rule of the corners."""
+        t = _integers(v)
+        if t is None or len(t) != self.d:
+            raise ValueError(f"sites and shifts of a {self.d}-d box must be "
+                             f"integer vectors of length {self.d}")
+        return t
+
     def contains(self, site):
-        site = np.atleast_1d(np.asarray(site, dtype=int))
-        return bool(np.all(site >= self.lo) and np.all(site <= self.hi))
+        site = self._vector(site)
+        return all(l <= a <= h for a, l, h in zip(site, self.lo, self.hi))
 
     def contains_box(self, other):
         for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
@@ -97,10 +104,10 @@ class Box:
 
     def index(self, site):
         """Array index tuple of a site; raises if outside the box."""
+        site = self._vector(site)
         if not self.contains(site):
-            raise ValueError(f"site {tuple(site)} outside box {self}")
-        site = np.atleast_1d(np.asarray(site, dtype=int))
-        return tuple(int(s - l) for s, l in zip(site, self.lo))
+            raise ValueError(f"site {site} outside box {self}")
+        return tuple(a - l for a, l in zip(site, self.lo))
 
     def interior(self, r):
         """Sites whose distance-r ball stays inside the box. May raise."""
@@ -115,7 +122,7 @@ class Box:
         return Box(tuple(l - r for l in self.lo), tuple(h + r for h in self.hi))
 
     def shift(self, k):
-        k = np.atleast_1d(np.asarray(k, dtype=int)).tolist()
+        k = self._vector(k)
         return Box(tuple(l + a for l, a in zip(self.lo, k)),
                    tuple(h + a for h, a in zip(self.hi, k)))
 
@@ -154,7 +161,11 @@ class Configuration:
             raise ValueError("domain must be a Box")
         values = np.asarray(values, dtype=float)
         if values.shape != domain.shape:
-            # 1-d convenience: accept flat arrays for flat boxes
+            # a flat array of the box's size is read in lexicographic order
+            if values.shape != (domain.size,):
+                raise ValueError(f"configuration values must have the box's "
+                                 f"shape {domain.shape} or be flat of its size "
+                                 f"{domain.size}, got shape {values.shape}")
             values = values.reshape(domain.shape)
         if not np.isfinite(values).all():
             raise ValueError("configuration values must be finite")

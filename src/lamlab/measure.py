@@ -56,15 +56,13 @@ class CircleMeasure:
         # merge coincident locations (mod 1) so atoms stay distinct
         keep_a, keep_m = [], []
         for a, m in zip(atoms, masses):
-            if keep_a and (a - keep_a[-1] <= ATOM_MERGE_TOL
-                           or (1.0 - a) + keep_a[0] <= ATOM_MERGE_TOL):
-                if a - keep_a[-1] <= ATOM_MERGE_TOL:
-                    keep_m[-1] += m
-                else:
-                    keep_m[0] += m
-                continue
-            keep_a.append(float(a))
-            keep_m.append(float(m))
+            if keep_a and a - keep_a[-1] <= ATOM_MERGE_TOL:
+                keep_m[-1] += m
+            elif keep_a and (1.0 - a) + keep_a[0] <= ATOM_MERGE_TOL:
+                keep_m[0] += m
+            else:
+                keep_a.append(float(a))
+                keep_m.append(float(m))
         self.atoms = np.asarray(keep_a)
         self.masses = np.asarray(keep_m)
         total = float(np.sum(self.masses))
@@ -137,7 +135,7 @@ def _count(values, sigma, delta0, table):
         worst = int(np.argmax(np.where(bad, best, -np.inf)))
         at = np.unravel_index(inside[worst], domain.shape)
         raise UnclassifiableSite(
-            f"site value {vals[worst]!r} is {best[worst]:.3g} from the nearest "
+            f"site value {float(vals[worst])!r} is {best[worst]:.3g} from the nearest "
             f"well, beyond the classification radius {delta0:.3g}",
             site=tuple(lo + int(i) for lo, i in zip(domain.lo, at)),
             value=float(flat[worst]),

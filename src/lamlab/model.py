@@ -186,7 +186,7 @@ class Potential:
         resid = np.abs(self.d1(criticals))
         if np.max(resid) > TOL_CRIT:
             worst = criticals[int(np.argmax(resid))]
-            raise ModelInvalid(f"critical point {worst!r} has slope residual "
+            raise ModelInvalid(f"critical point {float(worst)!r} has slope residual "
                                f"{np.max(resid):.2e}")
         curv = self.d2(criticals)
         gap = float(np.min(np.abs(curv)))
@@ -244,8 +244,15 @@ def potential_from_table(samples):
     if samples.ndim != 1 or samples.size < 8:
         raise ValueError("need a flat table of at least 8 samples")
     n = samples.size
-    coef = np.fft.rfft(samples) / n
-    m = np.arange(coef.size)
+    m = np.arange(n // 2 + 1)
+    # |V|, |V'| and |V''| are at most half the bound, which leaves room for
+    # the differences that Potential's checks take
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.fft.rfft(samples) / n
+        bound = 4.0 * np.sum(np.abs(coef) * np.maximum(1.0, (2 * np.pi * m) ** 2))
+    if not np.isfinite(bound):
+        raise ValueError("table potential overflows: its Fourier series or "
+                         "its second derivative exceeds the float range")
     # drop the unpaired Nyquist mode for even n; it cannot be evaluated
     # consistently off-grid
     if n % 2 == 0:
@@ -292,7 +299,7 @@ class InteractionStencil:
     """
 
     def __init__(self, d, range_, energy, gradient, hessian,
-                 force_field=None, energy_sum_field=None, validate=True):
+                 force_field=None, energy_sum_field=None):
         if d < 1 or range_ < 1:
             raise ValueError("need dimension >= 1 and range >= 1")
         self.d = int(d)
@@ -302,8 +309,7 @@ class InteractionStencil:
         self._energy, self._gradient, self._hessian = energy, gradient, hessian
         self._force_field = force_field
         self._energy_sum_field = energy_sum_field
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- callbacks on stacks of windows -------------------------------------
 
@@ -428,8 +434,6 @@ def builtin_harmonic_stencil(d):
     its 2d nearest neighbors; summing the site energies double-counts each
     bond into the usual half square per bond.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
     offsets = ball_offsets(d, 1)
     center, units = _center_and_units(offsets)
 

@@ -146,14 +146,9 @@ def chaotic_momentum_orbit(model, eps, labels, window, tol=1e-8,
         raise ValueError("orbits are one-dimensional")
     if eps <= 0.0:
         raise ValueError("the map needs eps > 0")
-    Bp = window.padded(1)
-    labels = np.asarray(labels, dtype=float).ravel()
-    if labels.size != Bp.size:
-        raise ValueError(
-            f"need {Bp.size} label values to cover the window collar"
-        )
-    res = quasi_newton_continue(model, eps, Configuration(Bp, labels), window,
-                                tol=newton_tol)
+    res = quasi_newton_continue(model, eps,
+                                Configuration(window.padded(1), labels),
+                                window, tol=newton_tol)
 
     # emit points only where the map step is backed by the equilibrium
     # equation: the frozen window edges do not satisfy it, so the orbit

@@ -74,8 +74,7 @@ def check_background(model, tol=1e-9):
     per = float(np.max(np.abs(V.value(s + 1.0) - V.value(s))))
     resid = float(np.max(np.abs(V.d1(V.criticals))))
     kinds = V.kinds
-    alternating = all(kinds[i] != kinds[(i + 1) % len(kinds)]
-                      for i in range(len(kinds)))
+    alternating = all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
     ok = per <= tol and resid <= tol and alternating and V.morse_gap > 0
     return ok, (f"periodicity {per:.2e}, critical residual {resid:.2e}, "
                 f"gap {V.morse_gap:.3g}")
@@ -83,8 +82,7 @@ def check_background(model, tol=1e-9):
 
 def check_gradient_consistency(model, tol=1e-5, seed=0):
     rng = np.random.default_rng(seed)
-    r = model.stencil.range
-    d = model.stencil.d
+    r, d = model.stencil.range, model.stencil.d
     B = Box.centered(2 * r + 1, d)
     Bp = B.padded(r)
     eps = model.constants.eps1 / 2.0
@@ -106,8 +104,7 @@ def check_gradient_consistency(model, tol=1e-5, seed=0):
 
 def check_min_max(model, tol=1e-10, seed=0):
     rng = np.random.default_rng(seed)
-    r = model.stencil.range
-    d = model.stencil.d
+    r, d = model.stencil.range, model.stencil.d
     B = Box.centered(2 * r + 1, d)
     Bp = B.padded(r)
     eps = model.constants.eps1 / 2.0
@@ -129,8 +126,7 @@ def check_min_max(model, tol=1e-10, seed=0):
 
 def check_comparison(model, tol=1e-8, seed=0):
     rng = np.random.default_rng(seed)
-    r = model.stencil.range
-    d = model.stencil.d
+    r, d = model.stencil.range, model.stencil.d
     B = Box.centered(6 * r + 2, d)
     eps = model.constants.eps1 / 2.0
     for t in range(3):
@@ -146,8 +142,7 @@ def check_comparison(model, tol=1e-8, seed=0):
 
 def check_subadditivity(model, tol=1e-9, seed=0):
     rng = np.random.default_rng(seed)
-    r = model.stencil.range
-    d = model.stencil.d
+    r, d = model.stencil.range, model.stencil.d
     B = Box.centered(6 * r, d)
     Bp = B.padded(r)
     eps = model.constants.eps1 / 2.0

@@ -301,15 +301,33 @@ def test_verify_needs_no_out(capsys):
 
 
 def test_verify_flags_broken_model(tmp_path, capsys):
-    spec = write_spec(tmp_path, "flip.json", {
-        "model": {"stencil": {"kind": "harmonic", "d": 1, "flip_sign": True}},
-    })
+    # a tolerance no sound model meets stands in for a broken model
+    spec = write_spec(tmp_path, "tamper.json", {
+        "model": {}, "checks": {"stencil-sign-condition": -1.0}})
     out = tmp_path / "v"
     assert main(["verify", "--spec", spec, "--out", str(out)]) == 2
     report = json.loads((out / "verify.json").read_text())
-    failed = {row["name"] for row in report["checks"] if not row["passed"]}
-    assert "stencil-sign-condition" in failed
+    failed = [row["name"] for row in report["checks"] if not row["passed"]]
+    assert failed == ["stencil-sign-condition"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"] == {
+        "checks": {"stencil-sign-condition": -1.0}}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["continue", "measure", "sweep",
+                                     "verify"])
+def test_flipped_stencils_are_refused(tmp_path, capsys, command):
+    # every stencil is checked when it is built, so the CLI has no way
+    # to run an antiferromagnetic one
+    body = dict(SMALL[command][0], model={"stencil": {
+        "kind": "harmonic", "d": 1, "flip_sign": True}})
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out)], 1)
+    assert err == "error: unknown model.stencil keys: ['flip_sign']\n"
+    assert not out.exists()
 
 
 def test_verify_tampered_tolerance(tmp_path, capsys):
@@ -1045,6 +1063,14 @@ def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
                    f"cannot parse eps divisor in 'eps1/{'9' * digits}'",
                    id=f"eps-divisor-of-{digits}-digits")
       for digits in (400, 5000)],
+    # required keys say that they are missing, not that they are mistyped
+    *[(command, {k: v for k, v in SMALL[command][0].items() if k != key},
+       [], f"missing {command} spec key '{key}'")
+      for command, key in [
+          ("continue", "window_radius"), ("lamination", "window_radius"),
+          ("sweep", "window_radius"), ("lamination", "n_samples"),
+          ("continue", "p"), ("lamination", "p"), ("measure", "p"),
+          ("sweep", "p")]],
 ])
 def test_inputs_that_used_to_run_unread_exit_1(tmp_path, capsys, command,
                                                body, extra, message):
@@ -1052,6 +1078,69 @@ def test_inputs_that_used_to_run_unread_exit_1(tmp_path, capsys, command,
     err = exits_with_one_line(capsys, [
         command, "--spec", write_spec(tmp_path, "s.json", body),
         "--out", str(out), *extra], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["continue", "lamination"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("radius,k_max,least", [(2, None, 4), (3, None, 4),
+                                                (3, 1, 4), (2, 0, 3)])
+def test_windows_too_small_for_the_birkhoff_scan_exit_1(
+        tmp_path, capsys, command, d, radius, k_max, least):
+    # the scan reads the interior at 3r, which must keep a site, and a
+    # second one when k_max > 0
+    body = dict(SMALL[command][0], window_radius=radius,
+                model={"stencil": {"kind": "harmonic", "d": d}},
+                omega=["golden", "sqrt2-1"][:d])
+    if k_max is not None:
+        body["k_max"] = k_max
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        command, "--spec", write_spec(tmp_path, "s.json", body),
+        "--out", str(out)], 1)
+    assert err == (f"error: window_radius {radius} is too small for the "
+                   f"Birkhoff scan: with k_max {2 if k_max is None else k_max}"
+                   f" it must be at least {least}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["continue", "lamination"])
+@pytest.mark.parametrize("radius,k_max", [(3, 0), (4, 2)])
+def test_least_windows_for_the_birkhoff_scan_run(tmp_path, command, radius,
+                                                 k_max):
+    body = dict(SMALL[command][0], window_radius=radius, k_max=k_max)
+    out = tmp_path / "o"
+    assert main([command, "--spec", write_spec(tmp_path, "s.json", body),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ordered"] is True
+
+
+def test_overflowing_table_potential_exits_1(tmp_path, capsys):
+    # the alternating table's Nyquist mode alone is 8e308; no NumPy
+    # warning gets through before the one line
+    table = {"kind": "table", "samples": [1e308, -1e308] * 4}
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "continue", "--spec",
+        write_spec(tmp_path, "s.json", dict(BASE, model={"potential": table},
+                                            p=[1.0])),
+        "--out", str(out)], 1)
+    assert err == ("error: table potential overflows: its Fourier series or "
+                   "its second derivative exceeds the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p,message", [
+    ([-0.5, 1.5], "simplex entries must be nonnegative, got -0.5"),
+    ([0, 0], "simplex entries sum to 0.0, expected 1"),
+])
+def test_error_lines_print_plain_floats(tmp_path, capsys, p, message):
+    out = tmp_path / "o"
+    err = exits_with_one_line(capsys, [
+        "continue", "--spec", write_spec(tmp_path, "s.json", dict(BASE, p=p)),
+        "--out", str(out)], 1)
     assert err == f"error: {message}\n"
     assert not out.exists()
 
@@ -1364,6 +1453,7 @@ def test_malformed_nested_objects_exit_1(tmp_path, capsys, name, change,
         write_spec(tmp_path, "s.json", dict(SMALL[name][0], **change)),
         "--out", str(out)], 1)
     assert err == f"error: {message}\n"
+    assert not out.exists()
     assert not out.exists()
 
 

@@ -130,6 +130,71 @@ def test_box_corners_beyond_int64_overflow_for_every_corner_type(lo, hi):
     assert edge == Box([-2**63], [2**63 - 1])
 
 
+@pytest.mark.parametrize("lo,hi", [
+    ([0.5], [3.7]), ((0.0,), (3,)), ((0,), (np.float64(3.0),)),
+    (np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=int)),
+    (np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=int)),
+    ("0", "3"), (None, None)])
+def test_corners_that_are_not_integer_vectors_are_refused(lo, hi):
+    # one rule for every corner: nothing is rounded or flattened
+    with pytest.raises(ValueError) as caught:
+        Box(lo, hi)
+    assert str(caught.value) == \
+        "lo and hi must be integer vectors of equal length"
+
+
+def test_centered_boxes_take_the_constructor_checks():
+    for radius, error in ((-1, ValueError), (0.5, ValueError),
+                          (2**63, OverflowError)):
+        with pytest.raises(error):
+            Box.centered(radius)
+    with pytest.raises(ValueError) as caught:
+        Box.centered(-1, 2)
+    assert str(caught.value) == \
+        "box corners must satisfy lo <= hi componentwise"
+
+
+def test_integer_scalars_are_vectors_of_one():
+    assert Box(0, 3) == Box(np.int64(0), np.int32(3)) == Box((0,), (3,))
+    B = Box((0,), (3,))
+    assert B.index(2) == B.index(np.int32(2)) == (2,)
+    assert B.shift(-1) == Box((-1,), (2,))
+    assert B.contains(3) and not B.contains(4)
+
+
+@pytest.mark.parametrize("site", [(0.5,), [1.0], np.array([1.5]),
+                                  np.zeros((1, 1), dtype=int), (0, 0), ()])
+def test_sites_and_shifts_follow_the_corner_rule(site):
+    B = Box((0,), (3,))
+    message = "sites and shifts of a 1-d box must be integer vectors of length 1"
+    for method in (B.contains, B.index, B.shift):
+        with pytest.raises(ValueError) as caught:
+            method(site)
+        assert str(caught.value) == message
+
+
+def test_index_names_the_site_as_plain_ints():
+    with pytest.raises(ValueError) as caught:
+        Box((0, 0), (3, 2)).index(np.array([4, 1]))
+    assert str(caught.value) == \
+        "site (4, 1) outside box Box(lo=(0, 0), hi=(3, 2))"
+
+
+def test_configuration_takes_the_box_shape_or_a_flat_array():
+    B = Box((0, 0), (3, 2))
+    vals = np.arange(12.0)
+    assert np.array_equal(Configuration(B, vals).values, vals.reshape(4, 3))
+    assert np.array_equal(Configuration(B, vals.reshape(4, 3)).values,
+                          vals.reshape(4, 3))
+    # an array of the right size but another shape is not reinterpreted
+    for shape in ((3, 4), (12, 1), (2, 6), (1, 4, 3)):
+        with pytest.raises(ValueError) as caught:
+            Configuration(B, np.zeros(shape))
+        assert str(caught.value) == (
+            "configuration values must have the box's shape (4, 3) or be "
+            f"flat of its size 12, got shape {shape}")
+
+
 def test_configuration_shape_and_finite_checks():
     B = Box.centered(2, 1)
     with pytest.raises(ValueError):

@@ -258,7 +258,7 @@ def reference_density(config, sigma, delta0, n):
     if np.any(bad):
         worst = int(np.argmax(np.where(bad, best, -np.inf)))
         raise UnclassifiableSite(
-            f"site value {vals[worst]!r} is {best[worst]:.3g} from the nearest "
+            f"site value {float(vals[worst])!r} is {best[worst]:.3g} from the nearest "
             f"well, beyond the classification radius {delta0:.3g}",
             site=tuple(sites[worst].tolist()),
             value=float(config.values.ravel()[worst]),

@@ -73,6 +73,27 @@ def test_potential_tags_are_the_signs_of_curvature(make):
     assert all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
 
 
+def test_slope_residual_names_the_critical_point_as_a_plain_float():
+    pot = builtin_n_well(1)
+    with pytest.raises(ModelInvalid) as caught:
+        Potential(pot.value, pot.d1, pot.d2, criticals=[0.25, 0.5])
+    assert str(caught.value).startswith("critical point 0.25 has slope residual ")
+
+
+@pytest.mark.parametrize("samples", [
+    [1e308, -1e308] * 4,
+    # finite coefficients whose second derivative overflows
+    1e306 * np.cos(3 * TWO_PI * np.arange(8) / 8.0),
+])
+def test_potential_from_table_refuses_overflow_without_a_warning(samples):
+    # warnings are errors in this suite, so a warning would fail first
+    with pytest.raises(ValueError) as caught:
+        potential_from_table(samples)
+    assert str(caught.value) == ("table potential overflows: its Fourier "
+                                 "series or its second derivative exceeds "
+                                 "the float range")
+
+
 def test_potential_rejects_nonperiodic_value():
     with pytest.raises(ModelInvalid):
         Potential(lambda s: np.asarray(s) ** 2,
@@ -105,6 +126,15 @@ def test_stencil_validation_catches_sign_flip_and_lies():
                            lambda w: 2.0 * base.gradient(w), base.hessian)
 
 
+def test_stencils_cannot_skip_their_checks():
+    with pytest.raises(ValueError):
+        builtin_harmonic_stencil(0)
+    base = builtin_harmonic_stencil(1)
+    with pytest.raises(TypeError):
+        InteractionStencil(1, 1, base.energy, base.gradient, base.hessian,
+                           validate=False)
+
+
 def test_harmonic_force_matches_energy_finite_differences():
     rng = np.random.default_rng(5)
     for d in (1, 2):
@@ -130,7 +160,7 @@ def test_harmonic_fast_paths_match_generic_scatter():
     for d in (1, 2):
         fast = builtin_harmonic_stencil(d)
         slow = InteractionStencil(d, 1, fast.energy, fast.gradient,
-                                  fast.hessian, validate=False)
+                                  fast.hessian)
         B = Box.centered(3, d)
         Bp = B.padded(1)
         vals = rng.uniform(-2.0, 2.0, Bp.shape)

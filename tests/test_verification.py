@@ -39,14 +39,21 @@ def test_explicit_model_and_determinism(model1):
     assert all(r.passed for r in one)
 
 
+class UncheckedStencil(InteractionStencil):
+    """A stencil built without its construction checks, so that the suite
+    can be shown a broken one."""
+
+    def _validate(self):
+        pass
+
+
 def test_flipped_stencil_fails_sign_checks(model1):
     s = model1.stencil
-    flipped = InteractionStencil(
+    flipped = UncheckedStencil(
         s.d, s.range,
         lambda w: -s.energy(w),
         lambda w: -s.gradient(w),
         lambda w: -s.hessian(w),
-        validate=False,
     )
     broken = Model(model1.potential, flipped, model1.constants)
     rows = {r.name: r for r in run_suite(model=broken)}
