@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckInconclusive
-from .lattice import Box, Configuration
+from .lattice import Box, Configuration, _as_index
 
 TIE_TOL = 1e-9
 
@@ -57,13 +57,14 @@ def check_birkhoff(x, k_max, tol=TIE_TOL):
     least l of the first kind is also of the second, and that l is the
     one witness tried.
     """
+    k_max = _as_index(k_max, "k_max")
     dom = x.domain
     if not np.ptp(x.values) < 2.0 ** 52:
         # then |mx| < 2**52, so tol - mx rounds by at most 1/2 and mx + l
         # is exact near tol: one corrective step of l below suffices
         raise ValueError("configuration values must span less than 2**52")
-    reach = tuple(min(int(k_max), n - 1) for n in dom.shape)
-    if int(k_max) > 0 and not any(reach):
+    reach = tuple(min(k_max, n - 1) for n in dom.shape)
+    if k_max > 0 and not any(reach):
         raise ValueError("window too small: no shifted translate overlaps it")
     for k in Box(tuple(-a for a in reach), reach).sites():
         ovl = dom.intersect(dom.shift(-k))

@@ -545,9 +545,8 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
     def write(part):
         for j in part:
-            member = lam.members[j]
             _write_csv(out / f"member_{j:03d}.csv", table.header,
-                       table.rows(member.labels, member))
+                       table.rows(lam.labels(j), lam.members[j]))
 
     n = len(lam.members)
     _in_workers(n, threads, write)

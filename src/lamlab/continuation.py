@@ -26,9 +26,9 @@ import numpy as np
 from .birkhoff import check_birkhoff
 from .errors import (ContinuationRefused, ContractionEscape, LaminationBroken,
                      NoConvergence, NotBirkhoff)
-from .hull import (HullFunction, check_irrational, generic_parameter,
-                   sample_config, step_hull_from_simplex)
-from .lattice import Box, Configuration
+from .hull import (HullFunction, _generic_shift, _phases, check_irrational,
+                   generic_parameter, sample_config, step_hull_from_simplex)
+from .lattice import Box, Configuration, _as_index
 
 MAX_ITER = 200
 LABEL_TOL = 1e-9
@@ -201,7 +201,7 @@ def truncation_consistency(model, eps, x0, tol, M1, M2):
     makes finite windows stand in for the infinite lattice.
     """
     r = model.stencil.range
-    M1, M2 = int(M1), int(M2)
+    M1, M2 = _as_index(M1, "M1"), _as_index(M2, "M2")
     if M2 < M1 + r:
         raise ValueError("need M2 >= M1 + r to separate the balls")
     d = x0.domain.d
@@ -231,8 +231,8 @@ def truncation_consistency(model, eps, x0, tol, M1, M2):
         "measured": measured,
         "bound": bound,
         "m": m,
-        "M1": int(M1),
-        "M2": int(M2),
+        "M1": M1,
+        "M2": M2,
         "holds": measured <= bound + 1e-15,
     }
 
@@ -319,28 +319,53 @@ def _order(diff):
 _MIRROR = {"0": "0", "1": "-1", "-1": "1", "x": "x"}
 
 
-def _ordering_matrix(xs):
-    """``_order(b - a)`` for every pair of arrays a, b of ``xs``.
+def _ordering_matrix(xs, by_s):
+    """``_order(b - a)`` for every pair of arrays a, b of ``xs``, where
+    ``by_s`` lists the indices of ``xs`` in s-order.
 
-    Rounding is symmetric, so fl(b - a) = -fl(a - b) exactly and one
-    direction of a pair decides the other; the diagonal is "0".
+    A link between s-neighbours is exact when the upper array is >= the
+    lower at every site and above it by more than LABEL_TOL somewhere.
+    fl(b - a) has the sign of b - a and rounding is monotone, so along a
+    chain of exact links every later array minus an earlier one rounds
+    to >= 0 everywhere and, at the first link's witness site, to at least
+    that link's difference: "1". Every other pair is computed. Rounding
+    is symmetric, so fl(b - a) = -fl(a - b) exactly and one direction of
+    a pair decides the other; the diagonal is "0".
     """
-    matrix = [["0"] * len(xs) for _ in xs]
-    for a, x in enumerate(xs):
-        for b in range(a + 1, len(xs)):
-            order = _order(xs[b] - x)
+    n = len(xs)
+    # chain[k]: the least s-rank joined to rank k by exact links
+    chain = list(range(n))
+    for k in range(1, n):
+        diff = xs[by_s[k]] - xs[by_s[k - 1]]
+        if np.min(diff) >= 0.0 and np.max(diff) > LABEL_TOL:
+            chain[k] = chain[k - 1]
+    matrix = [["0"] * n for _ in xs]
+    for ka, a in enumerate(by_s):
+        for kb in range(ka + 1, n):
+            b = by_s[kb]
+            order = ("1" if chain[kb] == chain[ka]
+                     else _order(xs[b] - xs[a]))
             matrix[a][b], matrix[b][a] = order, _MIRROR[order]
     return matrix
 
 
 @dataclass
 class LaminationResult:
-    """``members[j]`` continues the sample at parameter ``s_values[j]``;
+    """``members[j]`` continues the sample at parameter ``s_values[j]``
+    of ``hull`` over the sites whose phases omega . i are ``phases``;
     ``order[a][b]`` is ``_order`` of member b minus member a: "1" above,
-    "-1" below, "0" equal, "x" crossing."""
+    "-1" below, "0" equal, "x" crossing. Members keep no labels:
+    ``labels(j)`` samples them again."""
     members: list
     s_values: list
     order: list
+    hull: HullFunction
+    phases: np.ndarray
+
+    def labels(self, j):
+        """The labels member j was continued from, bit for bit."""
+        return Configuration(self.members[j].solution.domain,
+                             self.hull.value(self.s_values[j] + self.phases))
 
 
 def continue_lamination(model, eps, p, omega, window, n_samples,
@@ -355,17 +380,23 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
     ordered pairwise. A member that lies below or crosses the next one
     in s raises LaminationBroken.
     """
+    n_samples = _as_index(n_samples, "n_samples")
     omega = check_irrational(omega)
     phi = step_hull_from_simplex(p, model.potential.minima)
     Bp = window.padded(model.stencil.range)
-    s_values = [
-        generic_parameter(phi, omega, Bp, (2 * j + 1) / (2.0 * n_samples))
-        for j in range(int(n_samples))
-    ]
-    members = [quasi_newton_continue(model, eps,
-                                     sample_config(phi, omega, s, Bp), window,
-                                     tol=tol)
-               for s in s_values]
+    # one set of phases for the family, as generic_parameter and
+    # sample_config would compute for each member
+    phases = _phases(omega, Bp)
+    s_values = [_generic_shift(phi, phases, (2 * j + 1) / (2.0 * n_samples))
+                for j in range(n_samples)]
+    members = []
+    for s in s_values:
+        member = quasi_newton_continue(
+            model, eps, Configuration(Bp, phi.value(s + phases)), window,
+            tol=tol)
+        # a copy per member would grow with the family; labels(j) resamples
+        member.labels = None
+        members.append(member)
     verdicts = scan_birkhoff(model, window, (m.solution for m in members),
                              k_max)
     for j, verdict in enumerate(verdicts):
@@ -375,8 +406,8 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
                 witness=(j, verdict.violation),
             )
 
-    order = _ordering_matrix([m.solution.values for m in members])
     by_s = np.argsort(s_values)
+    order = _ordering_matrix([m.solution.values for m in members], by_s)
     for a, b in zip(by_s[:-1], by_s[1:]):
         if order[a][b] in ("-1", "x"):
             diff = members[b].solution.values - members[a].solution.values
@@ -386,7 +417,7 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
                 else f"member {b} lies below member {a}",
                 witness=(int(a), int(b), tuple(site.tolist())),
             )
-    return LaminationResult(members, s_values, order)
+    return LaminationResult(members, s_values, order, phi, phases)
 
 
 def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum"):

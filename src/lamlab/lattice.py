@@ -26,6 +26,16 @@ def _integers(v):
         return None
 
 
+def _as_index(value, name):
+    """A count or size as a Python int through ``operator.index``: NumPy
+    integers pass, and a float is refused, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+
+
 def ball_offsets(d, r):
     """All integer offsets k with ||k||_1 <= r, in lexicographic order.
 

@@ -24,7 +24,7 @@ from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import UnclassifiableSite
 from .hull import (_generic_shift, _phases, check_irrational,
                    step_hull_from_simplex)
-from .lattice import Box, Configuration, l1_norms
+from .lattice import Box, Configuration, _as_index, l1_norms
 
 ATOM_MERGE_TOL = 1e-12
 DEFAULT_DENSITY_RADIUS = {1: 377, 2: 60}
@@ -107,7 +107,7 @@ def _ball_table(domain, n):
     """The ball radii n/4, n/2 and n of a counting measure over a box, the
     flat indices of the box's sites in the largest ball, and the band of
     each: the index of the smallest radius whose ball holds it."""
-    n = int(n)
+    n = _as_index(n, "n")
     if n < 1:
         raise ValueError("ball radius must be positive")
     if not domain.contains_box(Box.centered(n, domain.d)):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ModelInvalid
-from .lattice import ball_offsets
+from .lattice import _as_index, ball_offsets
 
 TOL_CRIT = 1e-10
 CRITICAL_GRID = 4096
@@ -174,8 +174,13 @@ class Potential:
         self.d2 = _as_vectorized(d2)
 
         s = np.linspace(0.0, 1.0, 65)[:-1] + 1e-3
+        # rounding grows with the sampled magnitude of V, V' and V'', as
+        # in a table's series, so their tolerances scale with it
+        scales = []
         for f, name in ((self.value, "V"), (self.d1, "V'"), (self.d2, "V''")):
-            if np.max(np.abs(f(s + 1.0) - f(s))) > 1e-9:
+            lo, hi = f(s), f(s + 1.0)
+            scales.append(max(1.0, np.max(np.abs(lo)), np.max(np.abs(hi))))
+            if np.max(np.abs(hi - lo)) > 1e-9 * scales[-1]:
                 raise ModelInvalid(f"{name} is not one-periodic on sampled points")
 
         if criticals is None:
@@ -184,7 +189,7 @@ class Potential:
         if criticals.size == 0:
             raise ModelInvalid("background has no critical points; not Morse")
         resid = np.abs(self.d1(criticals))
-        if np.max(resid) > TOL_CRIT:
+        if np.max(resid) > TOL_CRIT * scales[1]:
             worst = criticals[int(np.argmax(resid))]
             raise ModelInvalid(f"critical point {float(worst)!r} has slope residual "
                                f"{np.max(resid):.2e}")
@@ -300,10 +305,10 @@ class InteractionStencil:
 
     def __init__(self, d, range_, energy, gradient, hessian,
                  force_field=None, energy_sum_field=None):
-        if d < 1 or range_ < 1:
+        self.d = _as_index(d, "d")
+        self.range = _as_index(range_, "range_")
+        if self.d < 1 or self.range < 1:
             raise ValueError("need dimension >= 1 and range >= 1")
-        self.d = int(d)
-        self.range = int(range_)
         self.offsets = ball_offsets(self.d, self.range)
         self.center, self.unit_indices = _center_and_units(self.offsets)
         self._energy, self._gradient, self._hessian = energy, gradient, hessian

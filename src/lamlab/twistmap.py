@@ -24,7 +24,7 @@ import numpy as np
 from .continuation import _refuse_coupling, quasi_newton_continue
 from .errors import CheckInconclusive
 from .hull import check_irrational, generic_parameter, sample_config
-from .lattice import Box, Configuration
+from .lattice import Box, Configuration, _as_index
 
 
 def standard_map_step(V, eps, x, y):
@@ -86,7 +86,7 @@ def extract_cantorus(model, eps, label_hull, omega, window, n_samples,
         raise ValueError("cantorus extraction is for one-dimensional chains")
     _refuse_coupling(model.constants, eps, "eps1")
     w = float(np.atleast_1d(check_irrational(omega))[0])
-    n_samples = int(n_samples)
+    n_samples = _as_index(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError("need at least two members")
     r = model.stencil.range

@@ -1479,6 +1479,20 @@ def test_ordering_matrix_classes_use_label_tol(diff, order):
     assert _order(np.asarray(diff)) == order
 
 
+def s_chain(rng):
+    """Arrays in s-order whose links to their s-successor are exact steps,
+    an exact tie ("0"), ties within LABEL_TOL, two dips within LABEL_TOL
+    at one site, and a crossing."""
+    up = np.ones(12)
+    dip, cross = up.copy(), up.copy()
+    dip[3], cross[5] = -0.6 * LABEL_TOL, -1.0
+    tie = np.full(12, 0.6 * LABEL_TOL)
+    chain = [rng.uniform(-1.0, 1.0, 12)]
+    for step in [up, up, 0.0 * up, dip, dip, up, tie, tie, up, cross, up]:
+        chain.append(chain[-1] + step)
+    return chain
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_mirrored_ordering_matrix_equals_all_pairs(seed):
     rng = np.random.default_rng(seed)
@@ -1492,9 +1506,26 @@ def test_mirrored_ordering_matrix_equals_all_pairs(seed):
         x[flip] += rng.choice([-1.0, 1.0]) * rng.uniform(0, 3 * LABEL_TOL)
         xs.append(x)
     xs.append(xs[0].copy())
+    by_s = rng.permutation(len(xs))
     want = [[_order(b - a) for b in xs] for a in xs]
-    assert _ordering_matrix(xs) == want
+    assert _ordering_matrix(xs, by_s) == want
     assert {c for row in want for c in row} == {"0", "1", "-1", "x"}
+
+    # the same chain under an s-order that is not the index order
+    chain = s_chain(rng)
+    by_s = rng.permutation(len(chain))
+    xs = [None] * len(chain)
+    for k, j in enumerate(by_s):
+        xs[j] = chain[k]
+    assert not np.array_equal(by_s, np.arange(len(xs)))
+    want = [[_order(b - a) for b in xs] for a in xs]
+    assert _ordering_matrix(xs, by_s) == want
+    links = [_order(b - a) for a, b in zip(chain, chain[1:])]
+    assert links == ["1", "1", "0", "1", "1", "1", "0", "0", "1", "x", "1"]
+    # across both dips the site 3 falls by more than LABEL_TOL, and across
+    # both tolerance ties every site rises by more than it
+    assert _order(chain[5] - chain[3]) == "x"
+    assert _order(chain[8] - chain[6]) == "1"
 
 
 @pytest.mark.parametrize("checks", [
@@ -1694,6 +1725,6 @@ def test_lamination_members_match_dict_keyed_rows(tmp_path, d):
     # previous member are taken over
     assert any(np.any(a == b) for a, b in zip(xs, xs[1:]))
     for j, member in enumerate(lam.members):
-        rows = dict_keyed_rows(model, eps, window, member.labels, member)
+        rows = dict_keyed_rows(model, eps, window, lam.labels(j), member)
         want = "\n".join(map(",".join, [header] + rows)) + "\n"
         assert (out / f"member_{j:03d}.csv").read_text() == want

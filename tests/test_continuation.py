@@ -289,6 +289,30 @@ def test_continue_lamination_orders_members(model1, golden):
     assert all(lam.order[a][b] == "1" for b in range(6) for a in range(b))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lamination_labels_are_sampled_again_bit_for_bit(d, model1, model2):
+    model = model1 if d == 1 else model2
+    omega = [GOLDEN_MEAN] if d == 1 else [np.sqrt(2.0) - 1.0,
+                                          np.sqrt(3.0) - 1.0]
+    window = Box.centered(10 if d == 1 else 4, d)
+    eps = model.constants.eps1 / 2.0
+    lam = continue_lamination(model, eps, [0.3, 0.7], omega, window, 5)
+    Bp = window.padded(model.stencil.range)
+    phi = step_hull_from_simplex([0.3, 0.7], model.potential.minima)
+    for j, member in enumerate(lam.members):
+        # no member keeps a copy of its labels
+        assert member.labels is None
+        s = generic_parameter(phi, omega, Bp, (2 * j + 1) / 10.0)
+        assert s == lam.s_values[j]
+        x0 = sample_config(phi, omega, s, Bp)
+        again = lam.labels(j)
+        assert again.domain == Bp
+        assert np.array_equal(again.values, x0.values)
+        fresh = quasi_newton_continue(model, eps, x0, window)
+        assert np.array_equal(again.values, fresh.labels.values)
+        assert np.array_equal(member.solution.values, fresh.solution.values)
+
+
 def test_crossing_members_break_the_lamination(model1, golden, monkeypatch):
     solo = continuation.quasi_newton_continue
     results = []

@@ -101,6 +101,31 @@ def test_potential_rejects_nonperiodic_value():
                   lambda s: 2.0 * np.ones_like(np.asarray(s, dtype=float)))
 
 
+@pytest.mark.parametrize("a", [1.0, 1e6, 1e8])
+def test_large_periodic_tables_build(a):
+    # the interpolant rounds relative to its magnitude: |V''| is about
+    # 158 a here, its periodicity defect about 5e-7 at a = 1e6, and the
+    # slope at the bisected critical points as large
+    pot = potential_from_table(-a * np.cos(2 * TWO_PI * np.arange(64) / 64))
+    # the minima at 0 and 1/2, a quarter period away from the wrap
+    assert np.allclose(np.sort(np.mod(pot.minima + 0.25, 1.0)), [0.25, 0.75],
+                       atol=1e-9)
+
+
+@pytest.mark.parametrize("a", [1.0, 1e6, 1e8])
+def test_large_nonperiodic_backgrounds_are_refused(a):
+    w = 2 * TWO_PI
+    V = [lambda s: -a * np.cos(w * s), lambda s: w * a * np.sin(w * s),
+         lambda s: w * w * a * np.cos(w * s)]
+    for k, name in enumerate(["V", "V'"]):
+        # a drift of 1e-7 of the magnitude per period
+        funcs = list(V)
+        funcs[k] = lambda s, f=V[k]: f(s) + 1e-7 * a * s
+        with pytest.raises(ModelInvalid, match=f"^{name} is not one-periodic "
+                                               "on sampled points$"):
+            Potential(*funcs)
+
+
 def test_potential_from_table_reproduces_trig_background():
     pot = builtin_n_well(2)
     grid = np.arange(64) / 64.0
@@ -429,6 +454,21 @@ def test_harmonic_constants_are_pinned(d, C1, eps0):
     assert cst == ModelConstants(
         c=1.0, C1=C1, C2=4.0 * d, delta0=0.01989439909543812, eps0=eps0,
         eps1=eps0, contraction_k=0.5, osc_bound_K=2.618033988749895)
+
+
+@pytest.mark.parametrize("N,d,delta0,eps0", [
+    (1, 1, 0.03978875137743345, 0.0021470211236732954),
+    (1, 2, 0.03978875137743345, 0.00042088553882607465),
+    (3, 1, 0.013262927528794358, 0.0007156742692413274),
+    (3, 2, 0.013262927528794358, 0.00014029528965148107),
+])
+def test_one_and_three_well_constants_are_pinned(N, d, delta0, eps0):
+    cst = build_model(builtin_n_well(N), builtin_harmonic_stencil(d),
+                      omega=[lamlab.GOLDEN_MEAN] * d).constants
+    C1 = {1: 9.26603630926548, 2: 47.26790030421504}[d]
+    assert cst == ModelConstants(
+        c=1.0, C1=C1, C2=4.0 * d, delta0=delta0, eps0=eps0, eps1=eps0,
+        contraction_k=0.5, osc_bound_K=2.618033988749895)
 
 
 def test_estimate_constants_seeded_and_deterministic(model1):

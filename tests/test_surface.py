@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__``, the layers each name loads,
 README's entry points, the imports each module uses, the environment no
-module reads, and the NumPy modules a run loads."""
+module reads, the counts no function truncates, and the NumPy modules a
+run loads."""
 
 import ast
 import importlib
@@ -11,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lamlab
+from lamlab import measure
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = str(Path(lamlab.__file__).resolve().parent.parent)
@@ -154,6 +157,91 @@ def test_no_module_reads_the_environment():
     reads = {path.name: environment_reads(path.read_text())
              for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def truncated_parameters(source):
+    """(line, name) of each ``int(name)`` call on a parameter of a
+    function that encloses it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "int" and len(call.args) == 1
+                    and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id in params):
+                found.add((call.lineno, call.args[0].id))
+    return sorted(found)
+
+
+def test_truncated_parameters_are_found():
+    source = ("def f(a, b, *, c):\n    a = int(a)\n    x = int(len(b))\n"
+              "    def g(d):\n        return int(c) + int(d) + int(x)\n"
+              "h = lambda e: int(e)\n")
+    assert truncated_parameters(source) == [(2, "a"), (5, "c"), (5, "d"),
+                                            (6, "e")]
+
+
+def test_no_function_truncates_its_parameters():
+    # a count that is not an integer is refused, never rounded down
+    package = Path(lamlab.__file__).parent
+    found = {path.name: truncated_parameters(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+def harmonic(d, range_):
+    base = lamlab.builtin_harmonic_stencil(1)
+    return lamlab.InteractionStencil(d, range_, base.energy, base.gradient,
+                                     base.hessian)
+
+
+def bare_labels(radius):
+    box = lamlab.Box.centered(radius, 1)
+    return lamlab.Configuration(box, 0.5 * (box.sites()[:, 0] % 2))
+
+
+def cantorus(m, v):
+    phi = lamlab.step_hull_from_simplex([1.0], m.potential.minima)
+    return lamlab.extract_cantorus(m, m.constants.eps1 / 2.0, phi,
+                                   [lamlab.GOLDEN_MEAN],
+                                   lamlab.Box.centered(6, 1), v)
+
+
+# a call taking the count under test on the two-well (or, for the
+# cantorus, one-well) model, and a value of it that runs
+COUNTS = {
+    "n_samples": (lambda m, v: lamlab.continue_lamination(
+        m, m.constants.eps1 / 2.0, [0.3, 0.7], [lamlab.GOLDEN_MEAN],
+        lamlab.Box.centered(8, 1), v), 2),
+    "cantorus n_samples": (cantorus, 2),
+    "M1": (lambda m, v: lamlab.truncation_consistency(
+        m, m.constants.eps1 / 2.0, bare_labels(12), 1e-12, v, 6), 2),
+    "M2": (lambda m, v: lamlab.truncation_consistency(
+        m, m.constants.eps1 / 2.0, bare_labels(12), 1e-12, 0, v), 2),
+    "k_max": (lambda m, v: lamlab.check_birkhoff(bare_labels(4), v), 2),
+    "n": (lambda m, v: measure._ball_table(lamlab.Box.centered(4, 1), v), 2),
+    "d": (lambda m, v: harmonic(v, 1), 1),
+    "range_": (lambda m, v: harmonic(1, v), 1),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_are_refused_not_truncated(name, model1, model1_single):
+    call, good = COUNTS[name]
+    model = model1_single if name.startswith("cantorus") else model1
+    param = name.split()[-1]
+    for value, kind in [(2.5, "float"), (np.float64(2.0), "float64"),
+                        ("2", "str")]:
+        with pytest.raises(TypeError) as caught:
+            call(model, value)
+        assert str(caught.value) == f"{param} must be an integer, not {kind}"
+    # NumPy integers are integers
+    call(model, np.int64(good))
 
 
 # builds a model, then runs one small spec per command that needs no
