@@ -506,7 +506,7 @@ def cmd_continue(spec, out, seed, threads, tol):
     _manifest(spec, out, effective, model, seed, tol)
 
     result = quasi_newton_continue(model, eps, x0, window, tol=tol)
-    verdict = next(scan_birkhoff(model, window, [result.solution], k_max))
+    verdict = scan_birkhoff(model, window, result.solution, k_max)
     summary = {
         "iterations": result.iterations,
         "final_residual": result.final_residual,
@@ -669,12 +669,6 @@ def _simplex_grid(wells, spacing):
 
 
 def cmd_cantorus(spec, out, seed, threads, tol):
-    mode = spec.get("mode", "cantorus")
-    if mode not in ("cantorus", "momentum"):
-        raise SchemaError(f"unknown cantorus mode {mode!r}")
-    spec.what = f"cantorus {mode}-mode spec"
-    if mode == "momentum":
-        return _cmd_momentum(spec, out, seed, tol)
     model, omega, eps, window, effective = _setup(spec, radius=lambda _: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     # the members are windows of one hull sample n_samples sites longer
@@ -711,22 +705,20 @@ def cmd_cantorus(spec, out, seed, threads, tol):
     return EXIT_OK
 
 
-def _cmd_momentum(spec, out, seed, tol):
+def cmd_orbit(spec, out, seed, threads, tol):
     potential, stencil, K, k = _model_parts(spec)
     if stencil.d != 1:
-        raise SchemaError("momentum mode needs a one-dimensional stencil")
+        raise SchemaError("orbit needs a one-dimensional stencil")
     window = _parse_window(spec, stencil, 32)
-    Bp = window.padded(stencil.range)
+    n = window.padded(stencil.range).size
     if "labels" in spec:
         labels = spec["labels"]
-        if not isinstance(labels, list) or len(labels) != Bp.size:
-            raise SchemaError(f"labels must be a list of {Bp.size} values")
+        if not isinstance(labels, list) or len(labels) != n:
+            raise SchemaError(f"labels must be a list of {n} values")
         labels = np.asarray([_finite(v, "every label") for v in labels])
     else:
-        cf = spec.object("coin_flip", "coin_flip")
-        cf_seed = _integer(cf.get("seed", seed), "coin_flip seed", 0)
-        rng = np.random.default_rng(cf_seed)
-        labels = rng.integers(0, 2, Bp.size).astype(float)
+        # a fair coin per site: the critical point 0, or its lift by 1
+        labels = np.random.default_rng(seed).integers(0, 2, n).astype(float)
     # unless the model gives K, the envelope is sized for the label spread
     if K is None:
         K = float(np.max(np.abs(np.diff(labels)))) + 2.0
@@ -808,6 +800,7 @@ _COMMANDS = {
     "lamination": cmd_lamination,
     "measure": cmd_measure,
     "cantorus": cmd_cantorus,
+    "orbit": cmd_orbit,
     "verify": cmd_verify,
     "sweep": cmd_sweep,
 }
@@ -818,7 +811,7 @@ def _build_parser():
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--spec", help="JSON experiment spec file")
     parser.add_argument("--out", help="output directory for run artifacts")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--tol", type=float, default=1e-12)
     return parser
@@ -844,11 +837,8 @@ def main(argv=None):
         threads = min(threads, _usable_cpus())
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise SchemaError("tol must be a positive finite number")
+        seed = _integer(args.seed, "seed", 0)
         spec = _load_spec(args.spec, args.command)
-        # the spec's seed is checked even where --seed overrides it
-        seed = _integer(spec.get("seed", 0), "seed")
-        if args.seed is not None:
-            seed = args.seed
         if args.out is None and args.command != "verify":
             raise SchemaError("this command needs --out <dir>")
         out = None if args.out is None else Path(args.out)

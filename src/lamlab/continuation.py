@@ -81,8 +81,9 @@ def _refuse_coupling(constants, eps, bound):
         )
 
 
-def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
-    """Frozen-diagonal sweeps over the interior of Bp, updating X in place.
+def _relax(model, eps, X, Bp, interior, labels, tol):
+    """Frozen-diagonal sweeps over the interior of Bp, at most MAX_ITER,
+    updating X in place.
 
     ``labels`` holds critical-point values on Bp. The diagonal is V'' at
     the labels of the interior sites, and the iterate must stay within
@@ -105,9 +106,9 @@ def _relax(model, eps, X, Bp, interior, labels, tol, max_iter):
         sup = float(np.abs(resid).max())
         if sup <= tol:
             return it, sup, rate, disp
-        if it >= max_iter:
+        if it >= MAX_ITER:
             raise NoConvergence(
-                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
+                f"residual {sup:.3e} after {MAX_ITER} sweeps (tol {tol:.1e})"
             )
         step = resid / diag
         Xi -= step
@@ -153,13 +154,13 @@ class ContinuationResult:
     labels: Configuration | None = None
 
 
-def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
+def quasi_newton_continue(model, eps, x0, B, tol=1e-12):
     """Continue a label configuration over the window B.
 
     ``x0`` must cover the collar around B and hold critical-point values;
     the collar stays frozen at the labels. Refuses couplings beyond eps0.
     Escaping the trust ball of radius delta0 around the labels aborts the
-    run, and so does failing to reach ``tol`` within ``max_iter`` sweeps.
+    run, and so does failing to reach ``tol`` within MAX_ITER sweeps.
     """
     _refuse_coupling(model.constants, eps, "eps0")
     r = model.stencil.range
@@ -171,21 +172,20 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12, max_iter=MAX_ITER):
 
     X = labels.values.copy()
     it, sup, rate, disp = _relax(model, eps, X, Bp, B.interior(r),
-                                 labels.values, tol, max_iter)
+                                 labels.values, tol)
     # a converged iterate is finite: a NaN residual never meets tol
     return ContinuationResult(Configuration._adopt(Bp, X), it, sup, rate,
                               disp, labels=labels)
 
 
-def scan_birkhoff(model, window, solutions, k_max):
-    """Birkhoff verdicts, one at a time, of solutions continued over
-    ``window``, read on its interior at range SCAN_MARGIN * r = 3r:
-    values within 2r of the frozen collar are kept out, since the collar
-    suppresses their relaxation at eps^2 scale with a pattern-dependent
-    sign, which fakes crossings at tie translates."""
+def scan_birkhoff(model, window, x, k_max):
+    """Birkhoff verdict of a solution x continued over ``window``, read
+    on its interior at range SCAN_MARGIN * r = 3r: values within 2r of
+    the frozen collar are kept out, since the collar suppresses their
+    relaxation at eps^2 scale with a pattern-dependent sign, which fakes
+    crossings at tie translates."""
     scan = window.interior(SCAN_MARGIN * model.stencil.range)
-    for x in solutions:
-        yield check_birkhoff(x.restrict(scan), k_max)
+    return check_birkhoff(x.restrict(scan), k_max)
 
 
 def truncation_consistency(model, eps, x0, tol, M1, M2):
@@ -273,7 +273,7 @@ def defect(model, eps, base, z, B):
     interior = B.interior(r)
     sl = interior.slice_in(Bp)
     X = z.values.copy()
-    it = _relax(model, eps, X, Bp, interior, base.values, 1e-12, MAX_ITER)[0]
+    it = _relax(model, eps, X, Bp, interior, base.values, 1e-12)[0]
     value = action(model, eps, B, Configuration(Bp, X)) - action(model, eps, B, z)
     disp = float(np.max(np.abs(X[sl] - z.values[sl])))
     return DefectResult(value, disp, it)
@@ -397,9 +397,8 @@ def continue_lamination(model, eps, p, omega, window, n_samples,
         # a copy per member would grow with the family; labels(j) resamples
         member.labels = None
         members.append(member)
-    verdicts = scan_birkhoff(model, window, (m.solution for m in members),
-                             k_max)
-    for j, verdict in enumerate(verdicts):
+    for j, member in enumerate(members):
+        verdict = scan_birkhoff(model, window, member.solution, k_max)
         if not verdict.ordered:
             raise NotBirkhoff(
                 f"lamination member {j} crosses its translate",
@@ -440,7 +439,7 @@ def maximum_breaks_order(model, eps, omega, window, critical_kind="maximum"):
     x = quasi_newton_continue(model, eps, sample_config(phi, omega, s, Bp),
                               window).solution
     # depth 2, the default k_max of continue_lamination and of the CLI
-    verdict = next(scan_birkhoff(model, window, [x], 2))
+    verdict = scan_birkhoff(model, window, x, 2)
     if verdict.ordered:
         return None
     k, l, above, below = verdict.violation

@@ -162,10 +162,13 @@ class Potential:
         V, V', V''. They must accept numpy arrays. Periodicity and the
         Morse property are sampled at construction.
     criticals : array, optional
-        Critical points in [0, 1). Located by bisection when omitted.
+        Critical points, taken mod 1 into [0, 1). Located by bisection
+        when omitted.
 
     Each critical point is tagged "minimum" or "maximum" by the sign of
-    V'' there, and the tags must alternate around the circle.
+    V'' there, and the tags must alternate around the circle. ``scales``
+    holds the sampled magnitudes of V, V' and V'', each at least 1, that
+    the periodicity and slope tolerances are relative to.
     """
 
     def __init__(self, value, d1, d2, criticals=None):
@@ -185,7 +188,9 @@ class Potential:
 
         if criticals is None:
             criticals = find_criticals(self.d1)
-        criticals = np.sort(np.mod(np.asarray(criticals, dtype=float), 1.0))
+        criticals = np.mod(np.asarray(criticals, dtype=float), 1.0)
+        # a tiny negative point rounds up to 1.0, which is 0.0 mod 1
+        criticals = np.sort(np.where(criticals == 1.0, 0.0, criticals))
         if criticals.size == 0:
             raise ModelInvalid("background has no critical points; not Morse")
         resid = np.abs(self.d1(criticals))
@@ -203,6 +208,7 @@ class Potential:
             raise ModelInvalid("critical tags must alternate around the circle")
 
         self.criticals = criticals
+        self.scales = tuple(map(float, scales))
         self.kinds = kinds
         self.morse_gap = gap
 

@@ -69,13 +69,13 @@ def check_stencil_signs(model, tol=1e-12):
 
 
 def check_background(model, tol=1e-9):
+    # relative to the sampled magnitudes of V and V', as construction
+    # checks them; alternation and the Morse gap hold for every Potential
     V = model.potential
     s = np.linspace(0.0, 1.0, 257)[:-1]
     per = float(np.max(np.abs(V.value(s + 1.0) - V.value(s))))
     resid = float(np.max(np.abs(V.d1(V.criticals))))
-    kinds = V.kinds
-    alternating = all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
-    ok = per <= tol and resid <= tol and alternating and V.morse_gap > 0
+    ok = per <= tol * V.scales[0] and resid <= tol * V.scales[1]
     return ok, (f"periodicity {per:.2e}, critical residual {resid:.2e}, "
                 f"gap {V.morse_gap:.3g}")
 

@@ -23,21 +23,21 @@ from lamlab.continuation import (LABEL_TOL, _order, _ordering_matrix,
                                  continue_lamination)
 from test_continuation import flag_member_off_birkhoff
 
-# the top-level spec keys each command, and each mode of cantorus, takes,
-# as the README documents them; stated apart from the code that reads them
+# the top-level spec keys each command takes, as the README documents
+# them; stated apart from the code that reads them. "momentum" names the
+# momentum orbits of the orbit command
 SPEC_KEYS = {
-    "continue": {"model", "seed", "omega", "eps", "p", "s", "window_radius",
+    "continue": {"model", "omega", "eps", "p", "s", "window_radius",
                  "k_max", "M1", "M2"},
-    "lamination": {"model", "seed", "omega", "eps", "p", "window_radius",
+    "lamination": {"model", "omega", "eps", "p", "window_radius",
                    "n_samples", "k_max"},
-    "measure": {"model", "seed", "omega", "eps", "p", "window_radius", "n",
+    "measure": {"model", "omega", "eps", "p", "window_radius", "n",
                 "injectivity"},
-    "cantorus": {"model", "seed", "mode", "omega", "eps", "p", "wells",
-                 "window_radius", "n_samples", "s0"},
-    "momentum": {"model", "seed", "mode", "eps", "window_radius", "labels",
-                 "coin_flip"},
-    "verify": {"model", "seed", "checks"},
-    "sweep": {"model", "seed", "omega", "eps_values", "p", "window_radius"},
+    "cantorus": {"model", "omega", "eps", "p", "wells", "window_radius",
+                 "n_samples", "s0"},
+    "momentum": {"model", "eps", "window_radius", "labels"},
+    "verify": {"model", "checks"},
+    "sweep": {"model", "omega", "eps_values", "p", "window_radius"},
 }
 
 BASE = {
@@ -235,6 +235,42 @@ def test_schema_problems_exit_1(tmp_path):
                  "--out", out, "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("body,message", [
+    (dict(BASE, model={"potential": {"kind": "bogus"}}),
+     "unknown potential kind 'bogus'"),
+    (dict(BASE, model={"potential": {"kind": "table", "samples": [0.0] * 7}}),
+     "table potential needs at least 8 samples"),
+    (dict(BASE, model={"stencil": {"kind": "cubic"}}),
+     "model.stencil must be harmonic (with a dimension d)"),
+    (dict(BASE, omega="silver"), "unknown omega name 'silver'"),
+    (dict(BASE, eps=-1e-3), "eps must be nonnegative"),
+    (None, "this command needs --spec <file>"),
+    ([BASE], "spec must be a JSON object"),
+], ids=["kind", "samples", "stencil", "omega", "eps", "no-spec", "array"])
+def test_one_line_refusals(tmp_path, capsys, body, message):
+    out = tmp_path / "o"
+    spec = [] if body is None else [
+        "--spec", write_spec(tmp_path, "s.json", body)]
+    err = exits_with_one_line(
+        capsys, ["continue", *spec, "--out", str(out)], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,seed", [("verify", "-3"), ("orbit", "-1")])
+def test_negative_seeds_exit_1_before_anything(tmp_path, capsys, command,
+                                               seed):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--spec", write_spec(tmp_path, "s.json", MOMENTUM
+                                               if command == "orbit" else {}),
+                 "--out", str(out), "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be an integer of at least 0\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_refused_and_no_convergence_exits(tmp_path):
     out = str(tmp_path / "o")
     hot = write_spec(tmp_path, "hot.json", dict(BASE, eps=0.5))
@@ -339,27 +375,29 @@ def test_verify_tampered_tolerance(tmp_path, capsys):
 
 
 def test_momentum_coin_flip(tmp_path):
+    # without labels, orbit draws one coin flip per site from --seed
     spec = write_spec(tmp_path, "m.json", {
         "model": {},
-        "mode": "momentum",
         "eps": 5e-4,
         "window_radius": 8,
-        "coin_flip": {"seed": 5},
     })
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["cantorus", "--spec", spec, "--out", str(a)]) == 0
+    assert main(["orbit", "--spec", spec, "--out", str(a), "--seed", "5"]) == 0
     summary = json.loads((a / "summary.json").read_text())
     assert summary["points"] == 16
     assert summary["map_residual"] <= 1e-8
     rows = (a / "orbit.csv").read_text().splitlines()
     assert rows[0] == "i,x,y"
     assert len(rows) == 17
-    assert main(["cantorus", "--spec", spec, "--out", str(b)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert manifest["seed"] == 5
+    assert manifest["parameters"]["labels"] == \
+        np.random.default_rng(5).integers(0, 2, 19).astype(float).tolist()
+    assert main(["orbit", "--spec", spec, "--out", str(b), "--seed", "5"]) == 0
     assert read_dir(a) == read_dir(b)
 
 
-MOMENTUM = {"model": {}, "mode": "momentum", "eps": 5e-4, "window_radius": 8,
-            "coin_flip": {"seed": 1}}
+MOMENTUM = {"model": {}, "eps": 5e-4, "window_radius": 8}
 
 
 @pytest.mark.parametrize("mspec", [{}, {"K": 4.0, "k": 0.25}])
@@ -369,7 +407,7 @@ def test_momentum_continues_with_the_manifest_model(tmp_path, mspec):
     spec = write_spec(tmp_path, "m.json",
                       dict(MOMENTUM, model=mspec, eps="eps0"))
     out = tmp_path / "o"
-    assert main(["cantorus", "--spec", spec, "--out", str(out)]) == 0
+    assert main(["orbit", "--spec", spec, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     labels = np.asarray(manifest["parameters"]["labels"])
     constants = manifest["constants"]
@@ -384,6 +422,34 @@ def test_momentum_continues_with_the_manifest_model(tmp_path, mspec):
     rows = (out / "orbit.csv").read_text().splitlines()[1:]
     assert rows == [f"{i},{x!r},{y!r}"
                     for i, (x, y) in enumerate(orbit.points.tolist())]
+
+
+@pytest.mark.parametrize("labels", [
+    None, [0.0, 0.25, 0.5, 1.5, 1.0, 0.75, 0.0, -0.5, -0.25, 0.0, 0.5, 1.0,
+           1.25, 1.5, 1.0, 0.5, 0.0, 0.25, 0.5]], ids=["drawn", "given"])
+def test_orbit_writes_the_momentum_orbit_of_its_labels(tmp_path, labels):
+    # the bytes of the library's orbit, with labels drawn from --seed
+    # when the spec gives none
+    body = MOMENTUM if labels is None else dict(MOMENTUM, labels=labels)
+    out = tmp_path / "o"
+    assert main(["orbit", "--spec", write_spec(tmp_path, "m.json", body),
+                 "--out", str(out), "--seed", "7"]) == 0
+    if labels is None:
+        labels = np.random.default_rng(7).integers(0, 2, 19).astype(float)
+    labels = np.asarray(labels)
+    model = build_model(builtin_n_well(2), builtin_harmonic_stencil(1),
+                        K=float(np.max(np.abs(np.diff(labels)))) + 2.0)
+    orbit = chaotic_momentum_orbit(model, 5e-4, labels, Box.centered(8, 1))
+    assert (out / "orbit.csv").read_text() == "".join(
+        ["i,x,y\n"] + [f"{i},{x!r},{y!r}\n"
+                       for i, (x, y) in enumerate(orbit.points.tolist())])
+    assert (out / "summary.json").read_text() == json.dumps({
+        "eps": 5e-4, "points": 16,
+        "map_residual": orbit.map_residual(model.potential)},
+        sort_keys=True, indent=2) + "\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["command"], manifest["seed"]) == ("orbit", 7)
+    assert manifest["parameters"]["labels"] == labels.tolist()
 
 
 def test_cantorus_cli(tmp_path):
@@ -424,12 +490,11 @@ def test_cantorus_on_the_criticals(tmp_path):
 
 def test_momentum_labels_of_the_wrong_length_exit_1(tmp_path, capsys):
     # the default window radius 32 pads to 67 sites
-    body = {k: v for k, v in MOMENTUM.items()
-            if k not in ("window_radius", "coin_flip")}
+    body = {k: v for k, v in MOMENTUM.items() if k != "window_radius"}
     spec = write_spec(tmp_path, "m.json", dict(body, labels=[0.0] * 66))
     out = tmp_path / "o"
     err = exits_with_one_line(
-        capsys, ["cantorus", "--spec", spec, "--out", str(out)], 1)
+        capsys, ["orbit", "--spec", spec, "--out", str(out)], 1)
     assert err == "error: labels must be a list of 67 values\n"
     assert not out.exists()
 
@@ -482,18 +547,17 @@ def test_cantorus_input_types_exit_1(tmp_path, capsys, change):
     ("continue", {"model": {"k": [0.5]}}),
     ("continue", {"model": {"potential": {
         "kind": "table", "samples": [float("nan")] * 8}}}),
-    ("continue", {"seed": 1.5}),
+    ("continue", {"window_radius": 8.0}),
     ("continue", {"k_max": [2]}),
     ("lamination", {"n_samples": 2, "eps": float("nan")}),
     ("lamination", {"n_samples": 2, "k_max": 1.5}),
     ("sweep", {"eps_values": [float("nan")]}),
     ("measure", {"n": 4, "injectivity": {"spacing": 0}}),
     ("measure", {"n": 4, "injectivity": {"spacing": float("nan")}}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": 5}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4,
-                  "coin_flip": {"seed": None}}),
-    # JSON true is not an integer, wherever one is expected
-    ("continue", {"seed": True}),
+    ("cantorus", {"eps": float("nan")}),
+    ("cantorus", {"omega": [float("inf")]}),
+    # JSON true and false are not integers, wherever one is expected
+    ("continue", {"window_radius": False}),
     ("continue", {"window_radius": True}),
     ("continue", {"k_max": True}),
     ("continue", {"M1": True, "M2": 7}),
@@ -504,8 +568,7 @@ def test_cantorus_input_types_exit_1(tmp_path, capsys, change):
     ("lamination", {"n_samples": True}),
     ("measure", {"n": True}),
     ("cantorus", {"n_samples": True}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4,
-                  "coin_flip": {"seed": True}}),
+    ("cantorus", {"window_radius": True}),
     # injectivity is absent, null, or an object with an optional spacing
     ("measure", {"n": 4, "injectivity": True}),
     ("measure", {"n": 4, "injectivity": float("nan")}),
@@ -523,23 +586,29 @@ def test_cantorus_input_types_exit_1(tmp_path, capsys, change):
         "p": [1.0]}),
     ("continue", {"model": {"stencil": {"kind": "harmonic",
                                         "flip_sign": 1}}}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4,
-                  "coin_flip": {"seed": 1, "bias": 0.5}}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4,
-                  "labels": [True] + [0.0] * 18}),
+    ("cantorus", {"model": {"stencil": {"kind": "harmonic", "d": 1,
+                                        "bogus": 3}}}),
+    ("cantorus", {"model": {"K": True}}),
+    # orbit, which refuses the omega and p of BASE
+    ("orbit", {"labels": 5}),
+    ("orbit", {"labels": [True] + [0.0] * 18}),
+    ("orbit", {"labels": [float("nan")] + [0.0] * 18}),
+    ("orbit", {"window_radius": True}),
+    ("orbit", {"eps": float("nan")}),
+    ("orbit", {"model": {"k": True}}),
 ])
 def test_non_finite_and_mistyped_numbers_exit_1(tmp_path, capsys, command,
                                                 change):
     body = dict(BASE, **change)
     if command == "sweep":
         del body["eps"]
-    if body.get("mode") == "momentum":
-        # momentum mode refuses the cantorus-mode keys of BASE
+    if command == "orbit":
         del body["omega"], body["p"]
     spec = write_spec(tmp_path, "s.json", body)
     err = exits_with_one_line(
         capsys, [command, "--spec", spec, "--out", str(tmp_path / "o")], 1)
-    assert "-mode spec keys" not in err
+    # the value is refused, not the key
+    assert "spec keys" not in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
@@ -573,8 +642,7 @@ TABLE_OF_HUGE = {"kind": "table", "samples": ["HUGE"] + [0.0] * 15}
     ("continue", dict(BASE, s="HUGE"), "s"),
     ("cantorus", dict(CANTORUS, s0="HUGE"), "s0"),
     ("continue", dict(BASE, p=[0.3, "HUGE"]), "every entry of p"),
-    ("cantorus", dict(MOMENTUM, labels=["HUGE"] + [0.0] * 18,
-                      coin_flip=None), "every label"),
+    ("orbit", dict(MOMENTUM, labels=["HUGE"] + [0.0] * 18), "every label"),
     ("continue", dict(BASE, omega=["HUGE"]),
      "every omega entry (a number or a known name)"),
     ("continue", dict(BASE, model={"potential": TABLE_OF_HUGE}),
@@ -785,9 +853,8 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     ("measure", {"model": {"stencil": {"kind": "harmonic", "d": 3}},
                  "omega": ["golden", "sqrt2-1", "sqrt3-1"],
                  "window_radius": 2}),
-    ("cantorus", {"mode": "momentum", "eps": 5e-4, "coin_flip": {},
-                  "omega": None, "p": None,
-                  "model": {"stencil": {"kind": "harmonic", "d": 2}}}),
+    # a key no command takes any more
+    ("cantorus", {"mode": "momentum"}),
     # neither n nor window_radius in three dimensions
     ("measure", {"model": {"stencil": {"kind": "harmonic", "d": 3}},
                  "omega": ["golden", "sqrt2-1", "sqrt3-1"],
@@ -795,6 +862,8 @@ def test_bad_truncation_balls_exit_before_the_manifest(tmp_path, capsys,
     # each component is irrational, but their difference is 0
     ("continue", {"model": {"stencil": {"kind": "harmonic", "d": 2}},
                   "omega": ["golden", "golden"]}),
+    ("orbit", {"omega": None, "p": None,
+               "model": {"stencil": {"kind": "harmonic", "d": 2}}}),
 ])
 def test_refused_before_the_manifest(tmp_path, capsys, command, change):
     body = {k: v for k, v in dict(BASE, **change).items() if v is not None}
@@ -806,7 +875,11 @@ def test_refused_before_the_manifest(tmp_path, capsys, command, change):
         capsys, [command, "--spec", spec, "--out", str(out)], 1)
     # not even the run directory is made
     assert not out.exists()
-    assert "np.float64" not in err and "-mode spec keys" not in err
+    assert "np.float64" not in err
+    if "mode" in change:
+        assert err == "error: unknown cantorus spec keys: ['mode']\n"
+    if command == "orbit":
+        assert err == "error: orbit needs a one-dimensional stencil\n"
     if change.get("omega") == 0.5:
         assert err == "error: rotation component 0.5 is within 1e-09 of 1/2\n"
     if body["model"].get("stencil", {}).get("d") == 3:
@@ -849,9 +922,8 @@ def test_window_site_cap_is_exact(d):
 def test_momentum_window_above_the_cap_exits_1(tmp_path, capsys):
     out = tmp_path / "o"
     spec = write_spec(tmp_path, "m.json", {
-        "model": {}, "mode": "momentum", "eps": 0.001,
-        "coin_flip": {"seed": 1}, "window_radius": 2**40})
-    exits_with_one_line(capsys, ["cantorus", "--spec", spec, "--out",
+        "model": {}, "eps": 0.001, "window_radius": 2**40})
+    exits_with_one_line(capsys, ["orbit", "--spec", spec, "--out",
                                  str(out)], 1)
     assert not out.exists()
 
@@ -911,24 +983,6 @@ def test_default_density_radius_fits_the_window(tmp_path):
         mu.as_pairs()
 
 
-@pytest.mark.parametrize("mode,extra", [
-    ("momentum", {"omega": 0.5, "p": [0.5], "n_samples": 3,
-                  "wells": "bogus", "s0": "x"}),
-    ("cantorus", {"labels": "junk", "coin_flip": 7}),
-])
-def test_cantorus_modes_refuse_each_others_keys(tmp_path, capsys, mode,
-                                               extra):
-    body = dict(MOMENTUM) if mode == "momentum" else dict(
-        BASE, p=[0.5, 0.5], n_samples=2)
-    spec = write_spec(tmp_path, "s.json", dict(body, **extra))
-    out = tmp_path / "o"
-    err = exits_with_one_line(
-        capsys, ["cantorus", "--spec", spec, "--out", str(out)], 1)
-    assert err == (f"error: unknown cantorus {mode}-mode spec keys: "
-                   f"{sorted(extra)}\n")
-    assert not out.exists()
-
-
 # the exit code of every error main catches, as errors.py and the README
 # list them
 EXIT_CODES = {
@@ -981,7 +1035,7 @@ SMALL = {
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_manifest_parameter_keys(tmp_path, capsys, name):
     body, keys = SMALL[name]
-    command = "cantorus" if name == "momentum" else name
+    command = "orbit" if name == "momentum" else name
     out = tmp_path / "o"
     spec = write_spec(tmp_path, "s.json", body)
     assert main([command, "--spec", spec, "--out", str(out)]) == 0
@@ -999,14 +1053,16 @@ def test_manifest_parameter_keys(tmp_path, capsys, name):
 
 # a value of the right type for every key some command takes
 KEY_VALUES = {
-    "model": {}, "seed": 1, "omega": "golden", "eps": "eps1/2",
+    "model": {}, "omega": "golden", "eps": "eps1/2",
     "p": [0.5, 0.5], "s": 0.3, "window_radius": 4, "k_max": 2, "M1": 1,
     "M2": 3, "n_samples": 2, "n": 3, "injectivity": {"spacing": 0.5},
-    "mode": "cantorus", "wells": "minima", "s0": 0.5, "labels": [0.0] * 19,
-    "coin_flip": {"seed": 1}, "checks": {}, "eps_values": ["eps1/2"],
+    "wells": "minima", "s0": 0.5, "labels": [0.0] * 19,
+    "checks": {}, "eps_values": ["eps1/2"],
 }
-SPEC_NAMES = {"cantorus": "cantorus cantorus-mode",
-              "momentum": "cantorus momentum-mode"}
+# keys that no command takes any more, with values they used to take:
+# the run seed is --seed alone, and momentum orbits are the orbit command
+REMOVED_KEYS = {"seed": 1, "mode": "momentum", "coin_flip": {"seed": 1}}
+ANY_KEY_VALUES = KEY_VALUES | REMOVED_KEYS
 
 
 def test_key_values_cover_every_spec_key():
@@ -1014,19 +1070,19 @@ def test_key_values_cover_every_spec_key():
 
 
 @pytest.mark.parametrize("name,key", [
-    (name, key) for name in sorted(SMALL) for key in sorted(KEY_VALUES)
+    (name, key) for name in sorted(SMALL)
+    for key in sorted(ANY_KEY_VALUES)
     if key not in SPEC_KEYS[name]])
 def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
                                                   key):
     # the valid base spec of one command, with a key only others take
-    body = dict(SMALL[name][0], **{key: KEY_VALUES[key]})
-    command = "cantorus" if name == "momentum" else name
+    body = dict(SMALL[name][0], **{key: ANY_KEY_VALUES[key]})
+    command = "orbit" if name == "momentum" else name
     out = tmp_path / "o"
     err = exits_with_one_line(capsys, [
         command, "--spec", write_spec(tmp_path, "s.json", body),
         "--out", str(out)], 1)
-    assert err == (f"error: unknown {SPEC_NAMES.get(name, name)} spec keys: "
-                   f"{[key]}\n")
+    assert err == f"error: unknown {command} spec keys: {[key]}\n"
     assert not out.exists()
 
 
@@ -1034,12 +1090,12 @@ def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
     # a key that sweep does not read
     ("sweep", dict(SMALL["sweep"][0], k_max="banana"), [],
      "unknown sweep spec keys: ['k_max']"),
-    # labels and coin_flip are exclusive: labels wins, coin_flip is unread
-    ("cantorus", dict(MOMENTUM, labels=[0.0, 1.0] * 9 + [0.0]), [],
-     "unknown cantorus momentum-mode spec keys: ['coin_flip']"),
-    # the spec's seed is checked even where --seed overrides it
-    ("continue", dict(BASE, seed="banana"), ["--seed", "1"],
-     "seed must be an integer"),
+    # a momentum-orbit spec as cantorus took it
+    ("orbit", dict(MOMENTUM, mode="momentum"), [],
+     "unknown orbit spec keys: ['mode']"),
+    # --seed is the only seed; a negative one is refused
+    ("continue", BASE, ["--seed", "-1"],
+     "seed must be an integer of at least 0"),
     # a divisor is one or more ASCII digits, not all zero
     ("continue", dict(BASE, eps="eps1/"), [],
      "cannot parse eps divisor in 'eps1/'"),
@@ -1056,8 +1112,9 @@ def test_keys_a_command_does_not_take_are_refused(tmp_path, capsys, name,
     ("sweep", {k: v for k, v in SMALL["sweep"][0].items()
                if k != "eps_values"}, [],
      "missing sweep spec key 'eps_values'"),
-    ("cantorus", {k: v for k, v in MOMENTUM.items() if k != "coin_flip"}, [],
-     "missing cantorus momentum-mode spec key 'coin_flip'"),
+    ("cantorus", {k: v for k, v in SMALL["cantorus"][0].items()
+                  if k != "eps"}, [],
+     "missing cantorus spec key 'eps'"),
     # a divisor past the largest float, and one past int's digit limit
     *[pytest.param("continue", dict(BASE, eps="eps1/" + "9" * digits), [],
                    f"cannot parse eps divisor in 'eps1/{'9' * digits}'",
@@ -1402,7 +1459,6 @@ NESTED = [(name, path, obj, stray) for name in sorted(SMALL)
               ("model.potential", TABLE, "N"),
               ("model.stencil", {"kind": "harmonic", "d": 1}, "bogus")]] + [
     ("measure", "injectivity", {"spacing": 0.5}, "bogus"),
-    ("momentum", "coin_flip", {"seed": 1}, "bogus"),
     ("verify", "checks", {"hull-axioms": 1}, "bogus"),
 ]
 
@@ -1420,7 +1476,7 @@ def test_nested_keys_an_object_does_not_take_are_refused(tmp_path, capsys,
     for part in parents:
         target = target[part]
     target[last] = dict(obj, **{stray: STRAY[stray]})
-    command = "cantorus" if name == "momentum" else name
+    command = "orbit" if name == "momentum" else name
     spec = write_spec(tmp_path, "s.json", body)
     out = tmp_path / "o"
     # verify runs without --out: refused before any check line is printed
@@ -1440,13 +1496,13 @@ def test_nested_keys_an_object_does_not_take_are_refused(tmp_path, capsys,
     ("continue", {"model": {"stencil": {}}},
      "missing model.stencil key 'kind'"),
     ("continue", {"model": None}, "model must be an object"),
-    ("momentum", {"coin_flip": None}, "coin_flip must be an object"),
+    ("momentum", {"model": []}, "model must be an object"),
     ("verify", {"checks": None}, "checks must be an object"),
     ("measure", {"injectivity": True}, "injectivity must be an object"),
 ])
 def test_malformed_nested_objects_exit_1(tmp_path, capsys, name, change,
                                          message):
-    command = "cantorus" if name == "momentum" else name
+    command = "orbit" if name == "momentum" else name
     out = tmp_path / "o"
     err = exits_with_one_line(capsys, [
         command, "--spec",
@@ -1544,14 +1600,14 @@ FUZZ_BASES = {
     "lamination": dict(BASE, window_radius=4, n_samples=2),
     "measure": dict(BASE, window_radius=4, n=3, injectivity={"spacing": 0.5}),
     "cantorus": dict(BASE, window_radius=4, n_samples=2),
-    "verify": {"model": {}, "seed": 1, "checks": {}},
+    "orbit": dict(MOMENTUM, window_radius=4),
+    "verify": {"model": {}, "checks": {}},
     "sweep": {"model": {}, "omega": "golden", "eps_values": ["eps1/2"],
               "p": [0.3, 0.7], "window_radius": 4},
 }
 FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400, [],
                [0.5, 0.5], {}, {"spacing": 0.5}, None, True, -1, 0, 2.5]
-FUZZ_KEYS = {cmd: sorted(SPEC_KEYS[cmd] | (
-    SPEC_KEYS["momentum"] if cmd == "cantorus" else set())) + [
+FUZZ_KEYS = {cmd: sorted(SPEC_KEYS["momentum" if cmd == "orbit" else cmd]) + [
     "model.potential", "model.stencil", "model.K", "model.k",
     "model.potential.N", "model.stencil.d", "model.stencil.flip_sign"]
     for cmd in FUZZ_BASES}

@@ -154,12 +154,12 @@ def test_contraction_escape_with_tiny_trust_radius(model1, golden):
         quasi_newton_continue(tight, model1.constants.eps1 / 2.0, x0, window)
 
 
-def test_no_convergence_with_starved_iterations(model1, golden):
+def test_no_convergence_with_starved_iterations(model1, golden, monkeypatch):
     window = Box.centered(5, 1)
     x0 = hull_start(model1, golden, [0.5, 0.5], window.padded(1))
-    with pytest.raises(NoConvergence):
-        quasi_newton_continue(model1, model1.constants.eps1 / 2.0, x0, window,
-                              max_iter=1)
+    monkeypatch.setattr(continuation, "MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="after 1 sweeps"):
+        quasi_newton_continue(model1, model1.constants.eps1 / 2.0, x0, window)
 
 
 def test_truncation_consistency_bound(model1, golden):

@@ -112,6 +112,17 @@ def test_large_periodic_tables_build(a):
                        atol=1e-9)
 
 
+def test_criticals_just_below_zero_are_stored_as_zero():
+    # np.mod(-1e-17, 1.0) rounds to 1.0; stored as is, the well at 0 would
+    # sort last and the weights of p would go to the wells out of order
+    w = 2 * TWO_PI
+    pot = Potential(lambda s: -np.cos(w * s) / w**2,
+                    lambda s: np.sin(w * s) / w, lambda s: np.cos(w * s),
+                    criticals=[-1e-17, 0.25, 0.5, 0.75])
+    assert pot.criticals.tolist() == [0.0, 0.25, 0.5, 0.75]
+    assert pot.minima.tolist() == [0.0, 0.5]
+
+
 @pytest.mark.parametrize("a", [1.0, 1e6, 1e8])
 def test_large_nonperiodic_backgrounds_are_refused(a):
     w = 2 * TWO_PI

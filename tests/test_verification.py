@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lamlab import InteractionStencil, Model, run_suite
-from lamlab.verification import CHECKS
+from lamlab import (GOLDEN_MEAN, InteractionStencil, Model, build_model,
+                    builtin_harmonic_stencil, potential_from_table, run_suite)
+from lamlab.verification import CHECKS, check_background
 
 EXPECTED = [
     "constants-envelope",
@@ -76,3 +77,14 @@ def test_override_can_loosen(model1):
     rows = {r.name: r for r in run_suite(model=model1,
                                          overrides={"min-max-inequality": 10.0})}
     assert rows["min-max-inequality"].passed
+
+
+@pytest.mark.parametrize("a", [1.0, 1e6, 1e8])
+def test_background_row_scales_as_construction_does(a):
+    # a table that builds passes the row: its periodicity defect and
+    # critical slopes grow with a, about 2e-9 and 6e-7 at a = 1e6
+    table = -a * np.cos(4 * np.pi * np.arange(64) / 64)
+    model = build_model(potential_from_table(table),
+                        builtin_harmonic_stencil(1), omega=[GOLDEN_MEAN])
+    passed, detail = check_background(model)
+    assert passed, detail
