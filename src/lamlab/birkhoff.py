@@ -117,8 +117,9 @@ def check_comparison_principle(model, eps, B, x, y, tol=1e-8):
     """Strong comparison on a box: ordered solutions are equal or strict.
 
     Preconditions: eps > 0, both configurations are stationary on the
-    interior of B (sup residual below tol), and x <= y on the whole
-    domain. The verdict is "identical" when the two agree on the interior,
+    interior of B (sup residual at most tol times the sampled magnitude
+    of V', ``Potential.scales[1]``), and x <= y on the whole domain.
+    The verdict is "identical" when the two agree on the interior,
     "strictly-less" when y - x is positive everywhere there, and
     "violated" when the difference vanishes somewhere but not everywhere,
     which contradicts strong comparison for a ferromagnetic interaction.
@@ -132,7 +133,7 @@ def check_comparison_principle(model, eps, B, x, y, tol=1e-8):
     for z, name in ((x, "lower"), (y, "upper")):
         resid = residual_field(model, eps, z, B)
         sup = float(np.max(np.abs(resid)))
-        if sup > tol:
+        if sup > tol * model.potential.scales[1]:
             raise CheckInconclusive(
                 f"{name} configuration is not stationary on the interior "
                 f"(sup residual {sup:.3g})"

@@ -30,12 +30,11 @@ from .errors import (CheckInconclusive, ContinuationRefused,
 from .hull import (GOLDEN_MEAN, check_irrational, generic_parameter,
                    sample_config, step_hull_from_simplex)
 from .lattice import Box
-from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
-                      injectivity_pairs, psi_epsilon_grid)
 from .model import (build_model, builtin_harmonic_stencil, builtin_n_well,
                     potential_from_table)
-from .twistmap import chaotic_momentum_orbit, extract_cantorus
-from .verification import CHECKS, run_suite
+
+# measure, twistmap and verification are imported by the commands that
+# run them, so a run loads only its own layers
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -562,6 +561,9 @@ def cmd_lamination(spec, out, seed, threads, tol):
 
 
 def cmd_measure(spec, out, seed, threads, tol):
+    from .measure import (DEFAULT_DENSITY_RADIUS, default_density_radius,
+                          injectivity_pairs, psi_epsilon_grid)
+
     n = _integer(spec["n"], "n", 1) if "n" in spec else None
 
     def ball_radius(stencil):
@@ -669,6 +671,8 @@ def _simplex_grid(wells, spacing):
 
 
 def cmd_cantorus(spec, out, seed, threads, tol):
+    from .twistmap import extract_cantorus
+
     model, omega, eps, window, effective = _setup(spec, radius=lambda _: 16)
     n_samples = _integer(spec.get("n_samples", 64), "n_samples", 2)
     # the members are windows of one hull sample n_samples sites longer
@@ -706,6 +710,8 @@ def cmd_cantorus(spec, out, seed, threads, tol):
 
 
 def cmd_orbit(spec, out, seed, threads, tol):
+    from .twistmap import chaotic_momentum_orbit
+
     potential, stencil, K, k = _model_parts(spec)
     if stencil.d != 1:
         raise SchemaError("orbit needs a one-dimensional stencil")
@@ -743,6 +749,8 @@ def cmd_orbit(spec, out, seed, threads, tol):
 
 
 def cmd_verify(spec, out, seed, threads, tol):
+    from .verification import CHECKS, run_suite
+
     # the manifest echoes the tolerances as given
     overrides = spec.object("checks", "checks", {})
     for name, _ in CHECKS:

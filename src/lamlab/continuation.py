@@ -83,13 +83,14 @@ def _refuse_coupling(constants, eps, bound):
 
 def _relax(model, eps, X, Bp, interior, labels, tol):
     """Frozen-diagonal sweeps over the interior of Bp, at most MAX_ITER,
-    updating X in place.
+    updating X in place until the sup step is at most ``tol``.
 
     ``labels`` holds critical-point values on Bp. The diagonal is V'' at
     the labels of the interior sites, and the iterate must stay within
-    delta0 of them there. Returns the sweep count, the final sup
-    residual, the largest ratio of consecutive step norms and the final
-    distance from the labels.
+    delta0 of them there. The step resid / V''(labels) is in x units, so
+    the stop test is the same for (V, eps) and (a V, a eps). Returns the
+    sweep count, the final sup residual, the largest ratio of
+    consecutive step norms and the final distance from the labels.
     """
     delta0 = model.constants.delta0
     sl = interior.slice_in(Bp)
@@ -103,17 +104,16 @@ def _relax(model, eps, X, Bp, interior, labels, tol):
     it = 0
     while True:
         resid = _residual(model, eps, X, Bp, interior, Xi)
-        sup = float(np.abs(resid).max())
-        if sup <= tol:
-            return it, sup, rate, disp
-        if it >= MAX_ITER:
-            raise NoConvergence(
-                f"residual {sup:.3e} after {MAX_ITER} sweeps (tol {tol:.1e})"
-            )
         step = resid / diag
+        snorm = float(np.abs(step).max())
+        if snorm <= tol:
+            return it, float(np.abs(resid).max()), rate, disp
+        if it >= MAX_ITER:
+            sup = float(np.abs(resid).max())
+            raise NoConvergence(f"step {snorm:.3e} and residual {sup:.3e} "
+                                f"after {MAX_ITER} sweeps (tol {tol:.1e})")
         Xi -= step
         it += 1
-        snorm = float(np.abs(step).max())
         if prev is not None and prev > 1e-13:
             rate = max(rate, snorm / prev)
         prev = snorm
@@ -160,7 +160,8 @@ def quasi_newton_continue(model, eps, x0, B, tol=1e-12):
     ``x0`` must cover the collar around B and hold critical-point values;
     the collar stays frozen at the labels. Refuses couplings beyond eps0.
     Escaping the trust ball of radius delta0 around the labels aborts the
-    run, and so does failing to reach ``tol`` within MAX_ITER sweeps.
+    run, and so does a step that is still above ``tol``, in x units,
+    after MAX_ITER sweeps.
     """
     _refuse_coupling(model.constants, eps, "eps0")
     r = model.stencil.range

@@ -13,8 +13,6 @@ x_i = phi(s + omega . i). Weights on the wells of the background potential
 coordinate system the lamination experiments run in.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from .lattice import Box, Configuration
@@ -39,12 +37,11 @@ def check_irrational(omega):
     orthogonal to k, as those of (w, w) do along anti-diagonals.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    for w in omega:
-        fr = Fraction(float(w)).limit_denominator(RESONANCE_DENOMINATOR)
-        if abs(fr.denominator * float(w) - fr.numerator) <= RESONANCE_TOL:
+    for w in omega.tolist():
+        p, q = _best_rational(w, RESONANCE_DENOMINATOR)
+        if abs(q * w - p) <= RESONANCE_TOL:
             raise ValueError(
-                f"rotation component {float(w)!r} is within {RESONANCE_TOL} of "
-                f"{fr.numerator}/{fr.denominator}"
+                f"rotation component {w!r} is within {RESONANCE_TOL} of {p}/{q}"
             )
     if omega.size > 1:
         k = _integer_relation(omega, RESONANCE_TOL)
@@ -52,6 +49,36 @@ def check_irrational(omega):
             raise ValueError(f"rotation vector {omega.tolist()} has k . omega "
                              f"within {RESONANCE_TOL} of an integer for k = {k}")
     return omega
+
+
+def _best_rational(w, max_q):
+    """The fraction p/q closest to the float w with 0 < q <= max_q, as
+    ``Fraction(w).limit_denominator(max_q)`` gives it, as the int pair
+    (p, q) in lowest terms.
+
+    Continued fractions on the exact ratio of w: the convergents run
+    until the next denominator would pass max_q, and the answer is the
+    last convergent or the largest semiconvergent after it, whichever
+    lies closer to w; the convergent on a tie.
+    """
+    num, den = w.as_integer_ratio()
+    if den <= max_q:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_q:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_q - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - w| <= |p/q - w|, times den * q1 * q
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return p1, q1
+    return p, q
 
 
 def _integer_relation(omega, tol):

@@ -30,6 +30,8 @@ from .errors import ModelInvalid
 from .lattice import _as_index, ball_offsets
 
 TOL_CRIT = 1e-10
+# the width at which find_criticals stops bisecting
+BRACKET = 1e-14
 CRITICAL_GRID = 4096
 SAMPLE_WINDOWS = 256
 SAMPLE_SEED = 0x5EED
@@ -124,7 +126,7 @@ def _as_vectorized(f):
 
 def find_criticals(d1):
     """Zeros of a one-periodic function on [0, 1) by sign-change bisection
-    on a grid of CRITICAL_GRID cells, down to brackets of 1e-14.
+    on a grid of CRITICAL_GRID cells, down to brackets of BRACKET.
 
     The grid must be fine enough that every zero sits alone in one cell;
     for Morse backgrounds the zeros of V' are simple, so this holds for
@@ -142,7 +144,7 @@ def find_criticals(d1):
         for _ in range(200):
             m = 0.5 * (a + b)
             fm = float(d1(np.asarray(m)))
-            if fm == 0.0 or (b - a) < 1e-14:
+            if fm == 0.0 or (b - a) < BRACKET:
                 a = b = m
                 break
             if fa * fm < 0:
@@ -162,8 +164,8 @@ class Potential:
         V, V', V''. They must accept numpy arrays. Periodicity and the
         Morse property are sampled at construction.
     criticals : array, optional
-        Critical points, taken mod 1 into [0, 1). Located by bisection
-        when omitted.
+        Critical points, taken mod 1 into [0, 1); one within BRACKET
+        below 1 is stored as 0. Located by bisection when omitted.
 
     Each critical point is tagged "minimum" or "maximum" by the sign of
     V'' there, and the tags must alternate around the circle. ``scales``
@@ -189,8 +191,11 @@ class Potential:
         if criticals is None:
             criticals = find_criticals(self.d1)
         criticals = np.mod(np.asarray(criticals, dtype=float), 1.0)
-        # a tiny negative point rounds up to 1.0, which is 0.0 mod 1
-        criticals = np.sort(np.where(criticals == 1.0, 0.0, criticals))
+        # a point within a bisection bracket below 1 is the one at 0, as
+        # is a tiny negative point that rounds up to 1.0: stored as 0.0,
+        # it is ordered first however the bisection rounded
+        criticals = np.sort(np.where(criticals > 1.0 - BRACKET, 0.0,
+                                     criticals))
         if criticals.size == 0:
             raise ModelInvalid("background has no critical points; not Morse")
         resid = np.abs(self.d1(criticals))

@@ -98,7 +98,8 @@ def check_gradient_consistency(model, tol=1e-5, seed=0):
         dn = action(model, eps, B, Configuration(Bp, x.values - bump))
         fd = (up - dn) / (2.0 * h)
         worst = max(worst, abs(fd - grad.ravel()[idx]))
-    ok = worst <= tol
+    # relative to the sampled magnitude of V', as check_background is
+    ok = worst <= tol * model.potential.scales[1]
     return ok, f"max |finite difference - gradient| {worst:.2e}"
 
 

@@ -773,7 +773,7 @@ def check_injectivity_table(tmp_path, monkeypatch, wells, spacing):
             measures.append(mu)
             yield mu
 
-    monkeypatch.setattr(cli, "psi_epsilon_grid", recording)
+    monkeypatch.setattr(measure, "psi_epsilon_grid", recording)
     body = dict(BASE, model={"potential": {"kind": "n_well", "N": wells}},
                 p=[1.0 / wells] * wells, n=4,
                 injectivity={"spacing": spacing})
@@ -1784,3 +1784,19 @@ def test_lamination_members_match_dict_keyed_rows(tmp_path, d):
         rows = dict_keyed_rows(model, eps, window, lam.labels(j), member)
         want = "\n".join(map(",".join, [header] + rows)) + "\n"
         assert (out / f"member_{j:03d}.csv").read_text() == want
+
+
+def test_a_table_of_amplitude_ten_continues(tmp_path, capsys):
+    # V'' is about 1580 at the wells of -10 cos(4 pi s): a residual of
+    # 1e-12 would be a step of 6e-16, below the rounding of x, while a
+    # step of 1e-12 is reached in a few sweeps
+    samples = (-10.0 * np.cos(4.0 * np.pi * np.arange(64) / 64.0)).tolist()
+    body = dict(BASE, model={"potential": {"kind": "table",
+                                           "samples": samples}},
+                window_radius=64)
+    out = tmp_path / "o"
+    assert main(["continue", "--spec", write_spec(tmp_path, "t.json", body),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ordered"] and summary["iterations"] < 10

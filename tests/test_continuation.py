@@ -158,7 +158,9 @@ def test_no_convergence_with_starved_iterations(model1, golden, monkeypatch):
     window = Box.centered(5, 1)
     x0 = hull_start(model1, golden, [0.5, 0.5], window.padded(1))
     monkeypatch.setattr(continuation, "MAX_ITER", 1)
-    with pytest.raises(NoConvergence, match="after 1 sweeps"):
+    # the step decides, and the message names it and the residual
+    with pytest.raises(NoConvergence, match=r"^step \S+ and residual \S+ "
+                       r"after 1 sweeps \(tol 1\.0e-12\)$"):
         quasi_newton_continue(model1, model1.constants.eps1 / 2.0, x0, window)
 
 
@@ -548,7 +550,7 @@ def test_order_search_makes_one_continuation(model1, golden, monkeypatch,
 # -- the continuation as first written, kept as the bit-identity reference --
 
 def reference_relax(model, eps, X, Bp, interior, labels, tol, max_iter):
-    # re-slices X on every sweep
+    # re-slices X on every sweep and stops on the frozen-diagonal step
     delta0 = model.constants.delta0
     sl = interior.slice_in(Bp)
     anchor = labels[sl]
@@ -561,16 +563,15 @@ def reference_relax(model, eps, X, Bp, interior, labels, tol, max_iter):
         resid = (model.potential.d1(X[sl])
                  + eps * model.stencil.force(X, Bp, interior))
         sup = float(np.abs(resid).max())
-        if sup <= tol:
+        step = resid / diag
+        snorm = float(np.abs(step).max())
+        if snorm <= tol:
             return it, sup, rate, disp
         if it >= max_iter:
-            raise NoConvergence(
-                f"residual {sup:.3e} after {max_iter} sweeps (tol {tol:.1e})"
-            )
-        step = resid / diag
+            raise NoConvergence(f"step {snorm:.3e} and residual {sup:.3e} "
+                                f"after {max_iter} sweeps (tol {tol:.1e})")
         X[sl] -= step
         it += 1
-        snorm = float(np.abs(step).max())
         if prev is not None and prev > 1e-13:
             rate = max(rate, snorm / prev)
         prev = snorm

@@ -9,7 +9,8 @@ import lamlab
 from lamlab import (Box, GOLDEN_MEAN, HullFunction, check_irrational,
                     generic_parameter, hull_distance_mod_translation,
                     normalize_simplex, sample_config, step_hull_from_simplex)
-from lamlab.hull import _integer_relation
+from lamlab.hull import (RESONANCE_DENOMINATOR, RESONANCE_TOL, _best_rational,
+                         _integer_relation)
 
 
 def oracle_value(bp, vals, s):
@@ -260,6 +261,88 @@ def test_check_irrational():
     check_irrational([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
     with pytest.raises(ValueError):
         check_irrational([GOLDEN_MEAN, 0.25])  # one bad component poisons d=2
+
+
+def seeded_omegas():
+    """10**5 floats in six families of 16,667 or so each: uniform in
+    [0, 1), rationals p/q with q <= 10**6 and their neighbours at 1e-12
+    to 1e-9, 292826/493027 +- up to 1e-11, exact ratios of large
+    integers, negatives of every size, and tiny and huge magnitudes."""
+    rng = np.random.default_rng(2024)
+    n = 10**5 // 6 + 1
+    q = rng.integers(1, RESONANCE_DENOMINATOR + 1, n)
+    p = rng.integers(-3 * q, 3 * q + 1)
+    nudge = rng.choice([-1e-9, -1e-12, 0.0, 1e-12, 1e-9], n)
+    families = [
+        rng.random(n),
+        p / q + nudge,
+        292826 / 493027 + rng.uniform(-1e-11, 1e-11, n),
+        rng.integers(-10**9, 10**9, n) / rng.integers(1, 2 * 10**6, n),
+        -rng.random(n) * 10.0 ** rng.integers(-6, 7, n),
+        rng.choice([-1, 1], n) * rng.random(n)
+        * 10.0 ** rng.integers(-300, 301, n),
+    ]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.5,
+             -0.5, 3.0, 610 / 987, 292826 / 493027 + 1e-12,
+             292826 / 493027 - 1e-12, GOLDEN_MEAN, -GOLDEN_MEAN, 1e-7]
+    return np.concatenate(families + [edges]).tolist()
+
+
+def test_best_rational_equals_limit_denominator():
+    omegas = seeded_omegas()
+    assert len(omegas) >= 10**5
+    for w in omegas:
+        fr = Fraction(w).limit_denominator(RESONANCE_DENOMINATOR)
+        assert _best_rational(w, RESONANCE_DENOMINATOR) == \
+            (fr.numerator, fr.denominator), w
+    # dyadic values under small bounds, where ties between the last
+    # convergent and the semiconvergent occur
+    for max_q in (1, 2, 3, 5, 10, 100, 1000):
+        for m in range(1, 9):
+            for k in range(-2**m, 3 * 2**m):
+                fr = Fraction(k, 2**m).limit_denominator(max_q)
+                assert _best_rational(k / 2**m, max_q) == \
+                    (fr.numerator, fr.denominator), (k, m, max_q)
+
+
+def fraction_refusal(w):
+    """The one-component test of check_irrational as written with
+    Fraction: the type and text of its error, or None."""
+    try:
+        fr = Fraction(float(w)).limit_denominator(RESONANCE_DENOMINATOR)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if abs(fr.denominator * float(w) - fr.numerator) <= RESONANCE_TOL:
+        return ValueError, (f"rotation component {float(w)!r} is within "
+                            f"{RESONANCE_TOL} of "
+                            f"{fr.numerator}/{fr.denominator}")
+    return None
+
+
+def refusal(w):
+    try:
+        check_irrational([w])
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_check_irrational_keeps_its_decisions_and_messages():
+    omegas = seeded_omegas()[::10] + [np.nan, np.inf, -np.inf]
+    refused = 0
+    for w in omegas:
+        want = fraction_refusal(w)
+        assert refusal(w) == want, w
+        refused += want is not None
+    # the near-rational family is refused, the uniform one is not
+    assert 1000 < refused < len(omegas) // 2
+    # 493027 * 1e-12 is far above RESONANCE_TOL: the nearest fraction,
+    # but no refusal
+    assert _best_rational(292826 / 493027 + 1e-12, RESONANCE_DENOMINATOR) \
+        == (292826, 493027)
+    assert refusal(292826 / 493027 + 1e-12) is None
+    assert refusal(0.375) == (
+        ValueError, "rotation component 0.375 is within 1e-09 of 3/8")
 
 
 @pytest.mark.parametrize("omega,k", [

@@ -123,6 +123,41 @@ def test_criticals_just_below_zero_are_stored_as_zero():
     assert pot.minima.tolist() == [0.0, 0.5]
 
 
+def test_criticals_within_a_bracket_below_one_are_stored_as_zero():
+    # bisection may end the well at 0 a few ulps below 1; within BRACKET
+    # it is the well at 0, beyond it a critical point of its own
+    w = 2 * TWO_PI
+    funcs = (lambda s: -np.cos(w * s) / w**2, lambda s: np.sin(w * s) / w,
+             lambda s: np.cos(w * s))
+    near = 1.0 - 0.9 * model.BRACKET
+    pot = Potential(*funcs, criticals=[0.25, 0.5, 0.75, near])
+    assert pot.criticals.tolist() == [0.0, 0.25, 0.5, 0.75]
+    far = 1.0 - 2.0 * model.BRACKET
+    pot = Potential(*funcs, criticals=[0.25, 0.5, 0.75, far])
+    assert pot.criticals.tolist() == [0.25, 0.5, 0.75, far]
+
+
+@pytest.mark.parametrize("samples", [16, 64, 256])
+def test_a_table_orders_its_wells_as_the_matching_n_well(samples):
+    # 64 and 256 samples used to bisect the well at 0 to 0.9999999999999964
+    # and list it last, so p gave its first weight to the well at 1/3
+    built = builtin_n_well(3)
+    table = potential_from_table(built.value(np.arange(samples) / samples))
+    assert np.allclose(table.minima, built.minima, rtol=0.0, atol=1e-12)
+    assert np.allclose(table.criticals, built.criticals, rtol=0.0,
+                       atol=1e-12)
+
+
+def test_scaled_tables_list_the_well_at_zero_first():
+    # -a cos(4 pi s) / (8 pi^2) at 33 amplitudes from 1 to 1e8
+    s = np.arange(64) / 64
+    for a in np.logspace(0.0, 8.0, 33):
+        table = potential_from_table(-a * np.cos(2 * TWO_PI * s)
+                                     / (2 * TWO_PI**2))
+        assert np.allclose(table.minima, [0.0, 0.5], rtol=0.0,
+                           atol=1e-12), a
+
+
 @pytest.mark.parametrize("a", [1.0, 1e6, 1e8])
 def test_large_nonperiodic_backgrounds_are_refused(a):
     w = 2 * TWO_PI

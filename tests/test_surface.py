@@ -283,3 +283,53 @@ def test_model_build_and_commands_leave_numpy_random_unloaded(tmp_path):
     }
     out = fresh_python(NO_RANDOM_RUN, str(tmp_path), json.dumps(specs))
     assert json.loads(out.splitlines()[-1]) == []
+
+
+# runs one command in this interpreter, then prints the lamlab modules
+# and the standard-library number modules loaded by then
+COMMAND_RUN = """
+import json, sys
+from lamlab.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("lamlab")
+                        or m in ("fractions", "decimal", "_decimal",
+                                 "_pydecimal"))))
+"""
+
+# the layers every spec command loads: the CLI's own imports
+SHARED_LAYERS = ["lamlab", "lamlab.birkhoff", "lamlab.cli",
+                 "lamlab.continuation", "lamlab.errors", "lamlab.hull",
+                 "lamlab.lattice", "lamlab.model"]
+BASE_SPEC = {"model": {}, "omega": "golden", "eps": "eps1/2",
+             "p": [0.3, 0.7], "window_radius": 8}
+
+
+COMMAND_LAYERS = [
+    ("continue", BASE_SPEC, []),
+    ("lamination", dict(BASE_SPEC, window_radius=4, n_samples=2), []),
+    ("sweep", {k: v for k, v in BASE_SPEC.items() if k != "eps"}
+     | {"eps_values": ["eps1/2"], "window_radius": 4}, []),
+    ("measure", dict(BASE_SPEC, n=4, injectivity={"spacing": 0.5}),
+     ["lamlab.measure"]),
+    ("cantorus", dict(BASE_SPEC, p=[0.5, 0.5], n_samples=2),
+     ["lamlab.twistmap"]),
+    ("orbit", {"model": {}, "eps": "eps1/2", "window_radius": 4},
+     ["lamlab.twistmap"]),
+    ("verify", None, ["lamlab.measure", "lamlab.verification"]),
+]
+
+
+@pytest.mark.parametrize("command,spec,own", COMMAND_LAYERS,
+                         ids=[case[0] for case in COMMAND_LAYERS])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, spec,
+                                                 own):
+    # and never fractions or decimal: the rotation check finds its best
+    # rational approximation in Python integers
+    argv = [command, "--out", str(tmp_path / "o"), "--threads", "1"]
+    if spec is not None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        argv += ["--spec", str(path)]
+    # verify prints its rows first
+    out = fresh_python(COMMAND_RUN, json.dumps(argv)).splitlines()[-1]
+    assert json.loads(out) == sorted(SHARED_LAYERS + own)

@@ -88,3 +88,19 @@ def test_background_row_scales_as_construction_does(a):
                         builtin_harmonic_stencil(1), omega=[GOLDEN_MEAN])
     passed, detail = check_background(model)
     assert passed, detail
+
+
+@pytest.mark.parametrize("a", [1e3, 1e6, 1e8])
+def test_every_row_passes_on_a_table_of_large_amplitude(a):
+    # continuation stops on the step, and the gradient and stationarity
+    # thresholds scale by the sampled magnitude of V', so the rows read
+    # the same model at any amplitude; at a = 1e6 the gradient check's
+    # finite differences are off by about 6e-4, and the comparison
+    # check's continued pairs keep residuals of about 1e-6
+    table = -a * np.cos(4 * np.pi * np.arange(64) / 64)
+    model = build_model(potential_from_table(table),
+                        builtin_harmonic_stencil(1), omega=[GOLDEN_MEAN])
+    rows = run_suite(model)
+    assert [r.name for r in rows] == EXPECTED
+    assert [r.name for r in rows if not r.passed] == [], \
+        [r.detail for r in rows]
