@@ -727,7 +727,9 @@ def cmd_orbit(spec, out, seed, threads, tol):
         labels = np.random.default_rng(seed).integers(0, 2, n).astype(float)
     # unless the model gives K, the envelope is sized for the label spread
     if K is None:
-        K = float(np.max(np.abs(np.diff(labels)))) + 2.0
+        # a spread past the float range gives K = inf, which is refused
+        with np.errstate(over="ignore"):
+            K = float(np.max(np.abs(np.diff(labels)))) + 2.0
     model = build_model(potential, stencil, K, k)
     eps = _parse_eps(spec["eps"], model.constants)
     effective = {"eps": eps, "window_radius": int(window.hi[0]),

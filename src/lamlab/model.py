@@ -43,54 +43,20 @@ _PCG_STATE = 2308840470998917848970343288548873417
 _PCG_INC = 158632560045879711472538546351268876111
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-_LIMB = np.uint64(32)
-_LIMB_MASK = np.uint64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
 # the generator's state after the unit doubles drawn so far in this process
 _drawn = (_PCG_STATE, np.empty(0))
 
 
-def _limbs(v):
-    """A 128-bit integer as a column of four 32-bit limbs, lowest first."""
-    return np.array([[(v >> 32 * j) & 0xFFFFFFFF] for j in range(4)],
-                    dtype=np.uint64)
-
-
-def _affine(x, a, c):
-    """``(a * x + c) mod 2**128`` for every column of ``x``, a (4, m) array
-    of 32-bit limbs. Each limb product is split at bit 32 between the two
-    columns it adds to, so no column reaches 2**36 before the carries."""
-    a, y = _limbs(a)[:, 0], _limbs(c) + np.zeros_like(x)
-    for i in range(4):
-        for k in range(4 - i):
-            p = x[i] * a[k]
-            y[i + k] += p & _LIMB_MASK
-            if i + k < 3:
-                y[i + k + 1] += p >> _LIMB
-    for j in range(3):
-        y[j + 1] += y[j] >> _LIMB
-    return y & _LIMB_MASK
-
-
 def _pcg64_units(state, n):
     """The next n unit doubles of PCG64 from ``state``, and the state after
-    them: ``(out >> 11) * 2**-53`` of each XSL-RR output, as NumPy's
-    ``next_double``.
-
-    The states come in rounds: the m-step map x -> a*x + c takes the m
-    states drawn so far to the next m, and composed with itself gives
-    the 2m-step map.
-    """
-    a, c = _PCG_MULT, _PCG_INC
-    x = _affine(_limbs(state), a, c)
-    while x.shape[1] < n:
-        x = np.concatenate((x, _affine(x, a, c)), axis=1)
-        a, c = a * a & _MASK128, (a * c + c) & _MASK128
-    x = x[:, :n]
-    hi, lo = x[3] << _LIMB | x[2], x[1] << _LIMB | x[0]
-    xor, rot = hi ^ lo, hi >> np.uint64(58)
-    out = xor >> rot | xor << (np.uint64(64) - rot & np.uint64(63))
-    last = sum(int(v) << 32 * j for j, v in enumerate(x[:, -1].tolist()))
-    return (out >> np.uint64(11)) * 2.0**-53, last
+    them: NumPy's ``next_double``, ``(out >> 11) * 2**-53`` of each output."""
+    outs = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + _PCG_INC) & _MASK128
+        xor, rot = (state >> 64) ^ (state & _MASK64), state >> 122
+        outs.append(((xor >> rot | xor << (64 - rot)) & _MASK64) >> 11)
+    return np.array(outs, float) * 2.0**-53, state
 
 
 def _fixed_uniform(low, high, shape):
@@ -533,6 +499,8 @@ def osc_bound(omega, r):
     return r * float(np.max(np.abs(omega))) + 2.0
 
 
+# an overflow shows as a constant that is not finite, refused below
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_constants(V, S, K, k=0.5):
     """Estimate the operating envelope for a potential/stencil pair.
 
@@ -547,8 +515,8 @@ def estimate_constants(V, S, K, k=0.5):
     """
     if not 0.0 < k < 1.0:
         raise ValueError("contraction parameter k must lie in (0, 1)")
-    if K <= 0:
-        raise ValueError("oscillation bound K must be positive")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"oscillation bound K must be positive and finite, not {K}")
     c = V.morse_gap
     if c <= 0:
         raise ModelInvalid("background is not Morse: zero curvature at a critical point")
@@ -581,6 +549,10 @@ def estimate_constants(V, S, K, k=0.5):
     grid = np.arange(CRITICAL_GRID + 1) / CRITICAL_GRID
     curv = V.d2(grid)
     L = float(np.max(np.abs(np.diff(curv)))) * CRITICAL_GRID
+
+    for name, v in (("C1", C1), ("C2", C2), ("L", L)):
+        if not math.isfinite(v):
+            raise ModelInvalid(f"constant {name} is {v} for oscillation bound K = {K}")
 
     crit = V.criticals
     gaps = np.diff(np.concatenate([crit, [crit[0] + 1.0]]))

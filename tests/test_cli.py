@@ -499,6 +499,25 @@ def test_momentum_labels_of_the_wrong_length_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,body,message", [
+    ("orbit", dict(MOMENTUM, window_radius=32,
+                   labels=[0.0] * 10 + [1e308, -1e308] + [0.0] * 55),
+     "oscillation bound K must be positive and finite, not inf"),
+    ("continue", dict(BASE, model={"K": 1e308}),
+     "constant C1 is inf for oscillation bound K = 1e+308"),
+], ids=["label-spread", "model-K"])
+def test_an_envelope_past_the_float_range_exits_1(tmp_path, capsys, command,
+                                                  body, message):
+    # labels 1e308 and -1e308 are both critical points mod 1, but their
+    # spread overflows; the manifest never records NaN or Infinity
+    out = tmp_path / "o"
+    err = exits_with_one_line(
+        capsys, [command, "--spec", write_spec(tmp_path, "s.json", body),
+                 "--out", str(out)], 1)
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 CANTORUS = {
     "model": {"potential": {"kind": "n_well", "N": 1}},
     "omega": "golden",

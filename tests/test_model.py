@@ -615,3 +615,29 @@ def test_build_model_defaults_K_from_omega():
     sten = builtin_harmonic_stencil(1)
     m = lamlab.build_model(pot, sten, omega=[0.25])
     assert m.constants.osc_bound_K == pytest.approx(0.25 + 2.0)
+
+
+@pytest.mark.parametrize("K", [np.inf, np.nan, 0.0, -1.0])
+def test_an_oscillation_bound_that_is_not_positive_and_finite_is_refused(K):
+    # min(x, nan) returns x, so a NaN C1 would drop out of eps0
+    with pytest.raises(ValueError, match="oscillation bound K must be "
+                                         "positive and finite"):
+        build_model(builtin_n_well(2), builtin_harmonic_stencil(1), K=K)
+
+
+@pytest.mark.parametrize("K", [1e308, 1.7e308])
+def test_a_force_bound_past_the_float_range_is_refused(K):
+    # at 1e308 only the factor 3 overflows, at 1.7e308 the sampled
+    # gradient does; neither warns
+    with pytest.raises(ModelInvalid, match=r"^constant C1 is inf "):
+        build_model(builtin_n_well(2), builtin_harmonic_stencil(1), K=K)
+
+
+def test_a_curvature_drift_past_the_float_range_is_refused():
+    # V'' = a cos(2 pi s) is finite, its drift over the grid is not
+    a = 1e308
+    pot = Potential(lambda s: -a * np.cos(TWO_PI * s) / TWO_PI**2,
+                    lambda s: a * np.sin(TWO_PI * s) / TWO_PI,
+                    lambda s: a * np.cos(TWO_PI * s), criticals=[0.0, 0.5])
+    with pytest.raises(ModelInvalid, match=r"^constant L is inf "):
+        build_model(pot, builtin_harmonic_stencil(1), omega=[0.25])

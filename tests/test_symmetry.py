@@ -132,3 +132,77 @@ def test_scaling_the_background_and_the_coupling_together(tmp_path):
         assert got_code == 0, a
         assert np.array_equal(got_labels, labels), a
         assert np.max(np.abs(got_x - x)) <= bound, a
+
+
+def lamination_run(tmp_path, a):
+    """Exit code, x0 and x columns of every member, the ordering matrix
+    and the s values of ``lamination`` on the table -a cos(4 pi s)."""
+    samples = (-a * np.cos(4.0 * np.pi * np.arange(64) / 64.0)).tolist()
+    spec = {"model": {"potential": {"kind": "table", "samples": samples}},
+            "omega": "golden", "eps": "eps1/2", "p": P,
+            "window_radius": 64, "n_samples": 8}
+    path = tmp_path / f"lamination-{a:g}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / f"lamination-run-{a:g}"
+    code = main(["lamination", "--spec", str(path), "--out", str(out)])
+    members = []
+    for j in range(8):
+        rows = (out / f"member_{j:03d}.csv").read_text().splitlines()[1:]
+        columns = list(zip(*(row.split(",") for row in rows)))
+        members.append((np.array(columns[1], float),
+                        np.array(columns[2], float)))
+    order = (out / "ordering_matrix.csv").read_text()
+    s_values = json.loads((out / "summary.json").read_text())["s_values"]
+    return code, members, order, s_values
+
+
+def test_scaling_the_background_and_the_coupling_of_a_lamination(tmp_path):
+    """The scaling relation member by member: each a gives exit 0, the
+    labels, order and s values of a = 1, and each member within 4 ulps
+    of that member's largest |x| (1 ulp was seen)."""
+    code, members, order, s_values = lamination_run(tmp_path, 1.0)
+    assert code == 0
+    for a in (1e-3, 1e3, 1e6, 1e8):
+        got_code, got_members, got_order, got_s = lamination_run(tmp_path, a)
+        assert got_code == 0, a
+        assert got_order == order, a
+        assert got_s == s_values, a
+        for j, ((labels, x), (got_labels, got_x)) in enumerate(
+                zip(members, got_members)):
+            assert np.array_equal(got_labels, labels), (a, j)
+            bound = 4 * np.spacing(np.max(np.abs(x)))
+            assert np.max(np.abs(got_x - x)) <= bound, (a, j)
+
+
+def relabelling_error(model, eps, labels, solved, window):
+    """The largest distance between the solution plus 1/2 and the
+    continuation of the labels plus 1/2, and 4 ulps of the window's
+    largest |x|."""
+    moved = Configuration(labels.domain, labels.values + 0.5)
+    got = quasi_newton_continue(model, eps, moved, window).solution.values
+    want = solved.solution.values + 0.5
+    return (np.max(np.abs(got - want)),
+            4 * np.spacing(max(np.max(np.abs(want)), np.max(np.abs(got)))))
+
+
+def test_relabelling_the_wells_of_the_chain(chain):
+    """V has period 1/2, so x -> x + 1/2 swaps the two wells and maps
+    solutions to solutions; sin is not exactly antiperiodic in floating
+    point, so the relation holds to an ulp (one was seen)."""
+    model, eps, window, _, _, labels, solved = chain
+    error, bound = relabelling_error(model, eps, labels, solved, window)
+    assert error <= bound
+
+
+def test_relabelling_the_wells_in_two_dimensions():
+    omega = [np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0]
+    model = build_model(builtin_n_well(2), builtin_harmonic_stencil(2),
+                        omega=omega)
+    eps = model.constants.eps1 / 2.0
+    window = Box.centered(12, 2)
+    phi = step_hull_from_simplex(P, model.potential.minima)
+    s = generic_parameter(phi, omega, window.padded(1), 0.5)
+    labels = sample_config(phi, omega, s, window.padded(1))
+    solved = quasi_newton_continue(model, eps, labels, window)
+    error, bound = relabelling_error(model, eps, labels, solved, window)
+    assert error <= bound
